@@ -3,8 +3,8 @@
 Runs the three cross-domain use cases (grant-table mapping leak,
 event-channel misroute, shared-ring tamper) on the stock inject-in-A/
 observe-in-B topology, across every shipped Xen version and both
-modes, through every execution engine — serial, spawn pool, and the
-snapshot-cached fork-server — and checks two invariants:
+modes, through both execution engines — the serial runner and the
+snapshot-cached worker pool — and checks two invariants:
 
 * **identity**: every engine yields byte-identical result payloads
   and its result store compacts to the same sha256 — topology is part
@@ -37,7 +37,7 @@ import pathlib
 import time
 
 from repro.core.topology import CROSS_DOMAIN_TOPOLOGY
-from repro.runner import ForkServerPool, SerialRunner, WorkerPool, plan_campaign
+from repro.runner import SerialRunner, WorkerPool, plan_campaign
 from repro.runner.store import ResultStore
 from repro.service.shards import compact
 
@@ -106,16 +106,14 @@ def build_matrix(pool_workers=2):
             "mode": "serial", "workers": 1, "wall_s": round(elapsed, 3),
             "store_sha256": ref_sha, "parity": True,
         })
-        for label, pool in (
-            ("spawn-pool", WorkerPool(jobs=pool_workers)),
-            ("fork-server", ForkServerPool(jobs=pool_workers)),
-        ):
-            elapsed, payloads, sha = _measure(pool, specs, tmp, label)
-            engines.append({
-                "mode": label, "workers": pool_workers,
-                "wall_s": round(elapsed, 3), "store_sha256": sha,
-                "parity": payloads == reference and sha == ref_sha,
-            })
+        elapsed, payloads, sha = _measure(
+            WorkerPool(jobs=pool_workers), specs, tmp, "pool"
+        )
+        engines.append({
+            "mode": "pool", "workers": pool_workers,
+            "wall_s": round(elapsed, 3), "store_sha256": sha,
+            "parity": payloads == reference and sha == ref_sha,
+        })
     return {
         "topology": json.loads(CROSS_DOMAIN_TOPOLOGY.canonical_json()),
         "topology_hash": CROSS_DOMAIN_TOPOLOGY.topology_hash,

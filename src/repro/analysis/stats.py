@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.analysis.report import VersionSummary, summarize_by_version
 from repro.core.campaign import RunResult
@@ -57,6 +56,10 @@ def compare_handling(
     p-value).  With only four use cases per version the test is
     underpowered — which is itself useful to report — but campaigns
     with many IMs produce meaningful contrasts."""
+    # scipy costs ~1 s and ~65 MB to import; every CLI start and pool
+    # worker reaches this module, but only this function needs it.
+    from scipy import stats as scipy_stats
+
     summaries = summarize_by_version(results)
     a = summaries.get(version_a, VersionSummary(version=version_a))
     b = summaries.get(version_b, VersionSummary(version=version_b))

@@ -53,17 +53,17 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--fork-server", action="store_true",
-        help="persistent snapshot-cached workers: boot once per worker, "
-        "restore a digest-verified checkpoint per trial (fastest for "
-        "fuzz campaigns; implies --jobs workers stay warm)",
+        help="run in a worker process even at --jobs 1 (the pool's "
+        "snapshot-cached workers restore a digest-verified checkpoint "
+        "per fuzz trial instead of booting a testbed)",
     )
     group.add_argument(
         "--batch", type=int, default=8, metavar="N",
-        help="jobs dispatched to a fork-server worker at a time",
+        help="jobs dispatched to a pool worker at a time",
     )
     group.add_argument(
         "--recycle-after", type=int, default=256, metavar="N",
-        help="recycle a fork-server worker after serving N trials",
+        help="recycle a pool worker after serving N trials",
     )
     group.add_argument(
         "--heartbeat-timeout", type=float, default=30.0, metavar="SECONDS",
@@ -399,14 +399,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "reference as JSON (implies --metrics)",
     )
     chaos.add_argument(
-        "--pool", choices=("spawn", "fork-server"), default="spawn",
-        help="pool mode for the chaos episodes; fork-server adds "
-        "snapshot-corruption and restore-wedge faults",
-    )
-    chaos.add_argument(
         "--report-json", metavar="PATH",
         help="write per-seed chaos reports (episodes, faults, verdict, "
-        "store sha256) as JSON — CI compares these across pool modes",
+        "store sha256) as JSON",
     )
 
     serve = sub.add_parser(
@@ -430,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--fork-server", action="store_true",
-        help="run campaigns on the snapshot-cached fork-server pool",
+        help="run campaigns in a worker process even at --jobs 1",
     )
     serve.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
@@ -970,7 +965,6 @@ def _cmd_chaos(args) -> int:
                     timeout=args.timeout,
                     on_event=record_event if args.events else None,
                     trace_dir=trace_dir,
-                    pool_mode=args.pool,
                 )
             print(report.render())
             if not report.identical:
@@ -981,13 +975,12 @@ def _cmd_chaos(args) -> int:
                 import hashlib
 
                 reports_by_seed[str(seed)] = {
-                    "pool": args.pool,
                     "episodes": report.episodes,
                     "faults": dict(sorted(report.faults.items())),
                     "identical": report.identical,
                     "total_jobs": report.total_jobs,
-                    # The cross-mode comparable: every pool mode must
-                    # leave a store rendering with this exact digest.
+                    # The cross-seed comparable: every seed must leave
+                    # a store rendering with this exact digest.
                     "store_sha256": hashlib.sha256(
                         report.chaos_json.encode()
                     ).hexdigest(),

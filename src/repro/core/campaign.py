@@ -316,8 +316,8 @@ class Campaign:
     ) -> List[RunResult]:
         """The full matrix, serially or through a ``repro.runner``.
 
-        With ``runner`` (a :class:`repro.runner.SerialRunner` or
-        :class:`repro.runner.WorkerPool`) each cell executes as an
+        With ``runner`` (the in-process :class:`repro.runner.SerialRunner`
+        or the :class:`repro.runner.WorkerPool`) each cell executes as an
         isolated job — parallel, fault-isolated, and resumable when a
         :class:`repro.runner.ResultStore` is passed as ``store`` —
         and the returned list is identical in content and order to a

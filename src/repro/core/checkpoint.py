@@ -1,7 +1,7 @@
 """Whole-testbed checkpoints for snapshot-cached trial execution.
 
-The fork-server (:mod:`repro.runner.forkserver`) boots one testbed per
-(Xen version) in each persistent worker, captures a
+The pool workers' lease cache (:mod:`repro.runner.forkserver`) boots
+one testbed per (Xen version) in each persistent worker, captures a
 :class:`TestbedCheckpoint`, and starts every subsequent trial by
 *restoring* the checkpoint in place instead of rebuilding the machine.
 That only works if restore is an exact inverse, so the checkpoint
@@ -27,7 +27,7 @@ restore-in-place, never ``copy.deepcopy(bed)``.
 Every restore is verified: :meth:`TestbedCheckpoint.restore` recomputes
 :func:`~repro.xen.snapshot.machine_digest` and compares it against the
 digest recorded at capture time.  A mismatch raises
-:class:`CheckpointDiverged` — the caller (the fork-server's snapshot
+:class:`CheckpointDiverged` — the caller (the workers' snapshot
 cache) evicts the entry and falls back to a cold boot.
 """
 

@@ -165,8 +165,8 @@ class RandomErroneousStateCampaign:
     ) -> FuzzReport:
         """Run the campaign; trials derive private seeds from the root.
 
-        With ``runner`` (a :class:`repro.runner.SerialRunner` or
-        :class:`repro.runner.WorkerPool`), trials execute as isolated
+        With ``runner`` (the in-process :class:`repro.runner.SerialRunner`
+        or the :class:`repro.runner.WorkerPool`), trials execute as isolated
         jobs — in parallel, resumable through ``store`` — and, because
         every trial is seeded independently, the assembled report is
         identical to a serial run's.  The parallel path resolves
@@ -217,12 +217,12 @@ class RandomErroneousStateCampaign:
     ) -> FuzzResult:
         """One injection against a caller-provided testbed.
 
-        The fork-server's snapshot-cached execution path: the caller
+        The pool workers' snapshot-cached execution path: the caller
         owns testbed construction (typically a checkpoint restore
         instead of a fresh boot).  Because the trial RNG is private and
         every draw depends only on the bed's frame layout — identical
         after an exact restore — the result is byte-for-byte the same
-        as :meth:`run_trial`'s fresh-boot path, which the fork-server
+        as :meth:`run_trial`'s fresh-boot path, which the pool's
         parity tests assert.
         """
         rng = random.Random(seed)

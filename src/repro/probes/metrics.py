@@ -55,7 +55,7 @@ class MetricsCollector:
         """Subscribe to every probe point (all-or-nothing)."""
         if self.bus is None:
             # Bus-less collectors are plain counter sinks (the
-            # fork-server's infrastructure metrics use one); there is
+            # pool's infrastructure metrics use one); there is
             # no probe traffic to subscribe to.
             raise RuntimeError("metrics collector has no probe bus to attach")
         if self._attachment is not None:
@@ -173,14 +173,14 @@ class MetricsCollector:
     def count(self, key: str, n: int = 1) -> None:
         """Add ``n`` to a counter directly (no probe traffic involved).
 
-        The fork-server records its infrastructure counters —
+        The worker pool records its infrastructure counters —
         ``forkserver.restores``, ``forkserver.restore.diverged``,
         ``forkserver.cold_boots``, ``forkserver.workers.recycled`` —
         through this entry point.  Infrastructure counters describe
         *how* a campaign executed, never *what* it computed, so they
         live in a separate bus-less collector and are never folded
         into a trial's persisted counters (which must stay identical
-        between serial, spawn-pool and fork-server execution).
+        between serial and pool execution, cached or cold).
         """
         self.counters[key] = self.counters.get(key, 0) + n
 

@@ -18,17 +18,16 @@ faults:
 * **interruption** — SIGINT/SIGTERM between episodes (exercised by
   the test-suite's subprocess driver rather than in-process, so the
   harness itself never races a stray signal);
-* **snapshot corruption** (fork-server mode) — a cached
+* **snapshot corruption** — a cached
   :class:`~repro.core.checkpoint.TestbedCheckpoint`'s snapshot bytes
   are flipped before a restore, so the digest check must catch the
   rot and the trial must cold-boot to the identical result;
-* **restore wedge** (fork-server mode) — a restore stalls until the
-  pool's batch-progress timeout kills the worker.
+* **restore wedge** — a restore stalls until the pool's
+  batch-progress timeout kills the worker.
 
-Fork-server faults are selected with ``pool_mode="fork-server"`` in
-:func:`run_chaos_campaign`; the invariant is then three-way — serial,
-chaos spawn-pool and chaos fork-server executions must all leave the
-same store bytes.
+One :class:`ChaosPool` — the one :class:`~repro.runner.pool.WorkerPool`
+with its job function, result channel and restore path wrapped —
+carries the whole fault set.
 
 Every fault decision is a pure function of ``(seed, episode, job)`` —
 no global RNG state — so a chaos run is exactly replayable.
@@ -49,7 +48,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.runner.forkserver import ForkServerPool, execute_job_cached
 from repro.runner.jobs import CAMPAIGN_RUN, JobSpec, execute_job
 from repro.runner.pool import JobFn, SerialRunner, WorkerPool
 from repro.runner.store import ResultStore, StoreCorrupt
@@ -82,12 +80,12 @@ class ChaosPlan:
     #: Upper bound on an injected message delay, seconds.
     max_delay: float = 0.05
     #: Probability a cached snapshot's bytes are corrupted before a
-    #: restore (fork-server mode; exercises digest verification and
-    #: the cold-boot fallback).
-    corrupt_rate: float = 0.0
+    #: restore (exercises digest verification and the cold-boot
+    #: fallback).
+    corrupt_rate: float = 0.25
     #: Probability a cached restore wedges until the batch-progress
-    #: timeout fires (fork-server mode).
-    wedge_rate: float = 0.0
+    #: timeout fires.
+    wedge_rate: float = 0.25
 
     def kills(self, episode: int, job_id: str) -> bool:
         return chaos_roll(self.seed, episode, "kill", job_id) < self.kill_rate
@@ -127,10 +125,11 @@ class ChaosPlan:
 class ChaosJobFn:
     """Worker-side fault injector wrapping the real job function.
 
-    A plain picklable dataclass: it crosses the ``spawn`` boundary as
-    a :class:`~repro.runner.pool.WorkerPool` ``job_fn``.  Faults fire
-    only on attempt 0, so the runner's own retry machinery (not the
-    harness) is what brings the job home.
+    A plain picklable dataclass wrapping whichever job function the
+    pool's current rung runs (it crosses a ``spawn`` boundary where
+    the platform has no ``fork``).  Faults fire only on attempt 0, so
+    the runner's own retry machinery (not the harness) is what brings
+    the job home.
     """
 
     plan: ChaosPlan
@@ -173,35 +172,14 @@ class ChaosOutbox:
             self._inner.put(message)
 
 
-class ChaosPool(WorkerPool):
-    """A :class:`WorkerPool` whose workers and transport misbehave."""
-
-    def __init__(
-        self,
-        plan: ChaosPlan,
-        episode: int = 1,
-        base_job_fn: JobFn = execute_job,
-        **kwargs,
-    ):
-        kwargs.setdefault(
-            "job_fn", ChaosJobFn(plan=plan, episode=episode, job_fn=base_job_fn)
-        )
-        super().__init__(**kwargs)
-        self.plan = plan
-        self.episode = episode
-
-    def _wrap_outbox(self, channel):
-        return ChaosOutbox(channel, self.plan, self.episode)
-
-
 @dataclass
-class ForkChaos:
-    """Worker-side snapshot-cache fault injector (fork-server mode).
+class RestoreChaos:
+    """Worker-side snapshot-cache fault injector.
 
     A picklable dataclass handed to workers through
-    :meth:`~repro.runner.forkserver.ForkServerPool._restore_chaos`; it
-    runs immediately before each cached checkpoint restore.  Faults
-    fire on first attempts only, like :class:`ChaosJobFn`'s:
+    :meth:`~repro.runner.pool.WorkerPool._restore_chaos`; it runs
+    immediately before each cached checkpoint restore.  Faults fire on
+    first attempts only, like :class:`ChaosJobFn`'s:
 
     * **corrupt** — flip one word of the cached snapshot's frame
       bytes.  The restore writes the rotten word into the machine, the
@@ -229,34 +207,28 @@ class ForkChaos:
             time.sleep(self.plan.hang_seconds)
 
 
-class ChaosForkPool(ForkServerPool):
-    """A :class:`ForkServerPool` under the full chaos fault set.
+class ChaosPool(WorkerPool):
+    """The :class:`WorkerPool` under the full chaos fault set.
 
-    Workers still get killed and hung mid-batch through
-    :class:`ChaosJobFn` and the transport still duplicates and delays
-    through :class:`ChaosOutbox`; on top, the snapshot cache itself
-    misbehaves through :class:`ForkChaos`.
+    Workers get killed and hung mid-batch through :class:`ChaosJobFn`
+    (wrapping whichever job function the current rung runs), the
+    transport duplicates and delays through :class:`ChaosOutbox`, and
+    the snapshot cache misbehaves through :class:`RestoreChaos`.
     """
 
-    def __init__(
-        self,
-        plan: ChaosPlan,
-        episode: int = 1,
-        base_job_fn: JobFn = execute_job_cached,
-        **kwargs,
-    ):
-        kwargs.setdefault(
-            "job_fn", ChaosJobFn(plan=plan, episode=episode, job_fn=base_job_fn)
-        )
+    def __init__(self, plan: ChaosPlan, episode: int = 1, **kwargs):
         super().__init__(**kwargs)
         self.plan = plan
         self.episode = episode
+
+    def _wrap_job_fn(self, job_fn: JobFn) -> JobFn:
+        return ChaosJobFn(plan=self.plan, episode=self.episode, job_fn=job_fn)
 
     def _wrap_outbox(self, channel):
         return ChaosOutbox(channel, self.plan, self.episode)
 
     def _restore_chaos(self):
-        return ForkChaos(plan=self.plan, episode=self.episode)
+        return RestoreChaos(plan=self.plan, episode=self.episode)
 
 
 # ----------------------------------------------------------------------
@@ -393,48 +365,30 @@ def run_chaos_campaign(
     jobs: int = 2,
     timeout: float = 10.0,
     plan: Optional[ChaosPlan] = None,
-    base_job_fn: JobFn = execute_job,
     max_episodes: int = 10,
     on_event: Optional[Callable] = None,
     trace_dir: Optional[str] = None,
-    pool_mode: str = "spawn",
 ) -> ChaosReport:
     """Run ``specs`` under seeded chaos and check the store invariant.
 
     The reference is a plain serial run of the same specs.  The chaos
     side runs episodes of a :class:`ChaosPool` against a durable store
     — each episode may kill workers, hang jobs, duplicate and delay
-    messages; between incomplete episodes the store file may be torn
-    and is then restored from the last good copy — until every job is
-    done.  Faults fire on first attempts only and jobs run with no
-    in-episode retries, so recovery always flows through the store's
-    resume path, the property under test.
-
-    ``pool_mode="fork-server"`` runs the episodes on a
-    :class:`ChaosForkPool` instead: the same kill/hang/dup/delay/tear
-    fault set, plus snapshot-cache corruption and restore wedges (the
-    plan's ``corrupt_rate``/``wedge_rate``, bumped to a quarter each
-    when the caller left them at zero).  The invariant is unchanged —
-    the fork-server must leave exactly the bytes the serial reference
-    leaves, no matter how its cache misbehaved.
+    messages, corrupt cached snapshots and wedge restores; between
+    incomplete episodes the store file may be torn and is then
+    restored from the last good copy — until every job is done.
+    Faults fire on first attempts only and jobs run with no in-episode
+    retries, so recovery always flows through the store's resume path,
+    the property under test.  The pool must leave exactly the bytes
+    the serial reference leaves, no matter how its cache misbehaved.
 
     With ``trace_dir`` the serial reference records under
     ``trace_dir/serial`` and the chaos side under ``trace_dir/chaos``;
     the directories must come out byte-identical (trace determinism
     under infrastructure faults), folded into ``report.identical``.
     """
-    if pool_mode not in ("spawn", "fork-server"):
-        raise ValueError(
-            f"unknown pool_mode {pool_mode!r}; known: spawn, fork-server"
-        )
     specs = list(specs)
     plan = plan or ChaosPlan(seed=seed, hang_seconds=max(timeout * 3, 1.0))
-    if (
-        pool_mode == "fork-server"
-        and plan.corrupt_rate == 0.0
-        and plan.wedge_rate == 0.0
-    ):
-        plan = replace(plan, corrupt_rate=0.25, wedge_rate=0.25)
     report = ChaosReport(seed=seed, total_jobs=len(specs))
 
     serial_trace_dir = chaos_trace_dir = None
@@ -450,7 +404,7 @@ def run_chaos_campaign(
         specs = [replace(s, trace_dir=chaos_trace_dir) for s in specs]
 
     with ResultStore() as reference:
-        serial = SerialRunner(retries=0, job_fn=base_job_fn)
+        serial = SerialRunner(retries=0)
         serial.run(serial_specs, store=reference)
         report.serial_json = _store_fingerprint(reference, serial_specs)
 
@@ -467,49 +421,25 @@ def run_chaos_campaign(
         # misbehaves — this is the "known-good copy" a torn store is
         # restored from.
         shutil.copyfile(store_path, good_copy)
-        if pool_mode == "fork-server":
-            pool: WorkerPool = ChaosForkPool(
-                plan=plan,
-                episode=episode,
-                base_job_fn=(
-                    execute_job_cached
-                    if base_job_fn is execute_job
-                    else base_job_fn
-                ),
-                jobs=jobs,
-                timeout=timeout,
-                retries=0,
-                on_event=on_event,
-            )
-        else:
-            pool = ChaosPool(
-                plan=plan,
-                episode=episode,
-                base_job_fn=base_job_fn,
-                jobs=jobs,
-                timeout=timeout,
-                retries=0,
-                on_event=on_event,
-            )
+        pool = ChaosPool(
+            plan=plan,
+            episode=episode,
+            jobs=jobs,
+            timeout=timeout,
+            retries=0,
+            on_event=on_event,
+        )
         try:
             pool.run(specs, store=store)
-            planned_kills = sum(
-                1 for spec in specs if plan.kills(episode, spec.job_id)
-            )
-            report.faults["kills"] = (
-                report.faults.get("kills", 0) + planned_kills
-            )
-            if pool_mode == "fork-server":
-                for name, decide in (
-                    ("corrupts", plan.corrupts),
-                    ("wedges", plan.wedges),
-                ):
-                    planned = sum(
-                        1 for spec in specs if decide(episode, spec.job_id)
-                    )
-                    report.faults[name] = (
-                        report.faults.get(name, 0) + planned
-                    )
+            for name, decide in (
+                ("kills", plan.kills),
+                ("corrupts", plan.corrupts),
+                ("wedges", plan.wedges),
+            ):
+                planned = sum(
+                    1 for spec in specs if decide(episode, spec.job_id)
+                )
+                report.faults[name] = report.faults.get(name, 0) + planned
             summary = store.summary()
             complete = summary.done == len(specs)
         finally:
@@ -530,9 +460,7 @@ def run_chaos_campaign(
             # A tear may have eaten completed episodes; one clean
             # (fault-free) pass over the restored store finishes the
             # stragglers through the ordinary resume path.
-            SerialRunner(
-                retries=2, job_fn=base_job_fn, on_event=on_event
-            ).run(specs, store=final)
+            SerialRunner(retries=2, on_event=on_event).run(specs, store=final)
         report.chaos_json = _store_fingerprint(final, specs)
     finally:
         final.close()

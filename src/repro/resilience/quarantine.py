@@ -1,7 +1,7 @@
 """Poison-job quarantine and the worker-death circuit breaker.
 
-Two small, deterministic guards the hardened :class:`WorkerPool` uses
-to keep infrastructure faults from burning the whole campaign:
+Two small, deterministic guards the :class:`~repro.runner.pool.WorkerPool`
+uses to keep infrastructure faults from burning the whole campaign:
 
 * :class:`PoisonTracker` — a job that repeatedly kills its worker
   (crash, SIGKILL, heartbeat loss) is *poisonous*: retrying it forever
@@ -13,7 +13,9 @@ to keep infrastructure faults from burning the whole campaign:
   to a single job (the machine is swapping, the container is dying)
   show up as consecutive deaths across jobs.  After ``threshold``
   consecutive deaths with no intervening success, the breaker opens
-  and the pool halts dispatch, failing the remaining jobs with an
+  and the pool halts dispatch.  The pool then steps down once, in
+  place, to one cold job per worker with a fresh tracker and breaker;
+  if the breaker opens again there, the remaining jobs fail with an
   explicit verdict so a later ``--resume`` can pick them back up.
 
 Both are plain counters — no clocks, no randomness — so chaos runs

@@ -1,10 +1,13 @@
 """``repro.runner`` — parallel, fault-tolerant, resumable campaigns.
 
 The execution engine behind ``--jobs N``: experiments become
-serializable :class:`JobSpec` jobs, a ``spawn``-based
-:class:`WorkerPool` runs them with per-job timeouts, crash isolation
-and bounded retry, a SQLite :class:`ResultStore` makes campaigns
-resumable (``--resume``), and :class:`RunnerEvent` streams progress.
+serializable :class:`JobSpec` jobs, the one :class:`WorkerPool`
+(persistent, batched workers with a snapshot-cached lease path;
+``ForkServerPool`` is another name for it) runs them with per-job
+timeouts, crash isolation, bounded retry and an in-place degradation
+ladder, :class:`SerialRunner` runs them in process as the reference, a
+SQLite :class:`ResultStore` makes campaigns resumable (``--resume``),
+and :class:`RunnerEvent` streams progress.
 """
 
 from repro.runner.events import (
@@ -30,6 +33,7 @@ from repro.runner.jobs import (
 from repro.runner.pool import (
     CampaignFailed,
     CampaignInterrupted,
+    ForkServerPool,
     RunnerOutcome,
     SerialRunner,
     WorkerPool,
@@ -37,11 +41,7 @@ from repro.runner.pool import (
     run_jobs,
     seeded_backoff,
 )
-from repro.runner.forkserver import (
-    ForkServerPool,
-    execute_job_cached,
-    preferred_context,
-)
+from repro.runner.forkserver import execute_job_cached, preferred_context
 from repro.runner.store import (
     ResultStore,
     StoreBusy,

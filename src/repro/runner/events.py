@@ -25,9 +25,9 @@ JOB_SKIPPED = "job-skipped"  # already done in the store (resume)
 JOB_QUARANTINED = "job-quarantined"  # poisonous: kept killing workers
 WORKER_CRASHED = "worker-crashed"
 WORKER_UNRESPONSIVE = "worker-unresponsive"  # heartbeat stopped
-WORKER_RECYCLED = "worker-recycled"  # fork-server health recycling
+WORKER_RECYCLED = "worker-recycled"  # worker health recycling
 RESTORE_DIVERGED = "restore-diverged"  # cached snapshot failed its digest check
-POOL_DEGRADED = "pool-degraded"  # fork-server fell back to spawn-per-job
+POOL_DEGRADED = "pool-degraded"  # circuit opened; pool stepped down in place
 CIRCUIT_OPEN = "circuit-open"  # too many consecutive worker deaths
 CAMPAIGN_INTERRUPTED = "campaign-interrupted"  # SIGINT/SIGTERM, resumable
 CAMPAIGN_FINISHED = "campaign-finished"
@@ -143,7 +143,7 @@ class ConsoleRenderer:
                 f"{event.detail} (evicted; cold-booting)"
             )
         if event.kind == POOL_DEGRADED:
-            return f"{progress} DEGRADED to spawn-per-job pool: {event.detail}"
+            return f"{progress} pool DEGRADED: {event.detail}"
         if event.kind == CIRCUIT_OPEN:
             return f"{progress} HALTED: {event.detail}"
         if event.kind == CAMPAIGN_INTERRUPTED:

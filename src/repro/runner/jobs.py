@@ -329,7 +329,7 @@ def _execute_selftest(spec: JobSpec, attempt: int) -> Dict[str, object]:
     elif behaviour == "crash-until":
         # Kills its worker on the first <n> attempts, then succeeds:
         # the shape that opens a circuit breaker yet completes on a
-        # fresh pool (the service's degradation ladder exercises this).
+        # retry (the service's degradation ladder exercises this).
         if attempt < int(arg or "1"):
             os._exit(17)
     elif behaviour == "stop":

@@ -1,32 +1,43 @@
-"""Parallel, fault-tolerant job execution.
+"""Fault-tolerant campaign execution: one worker pool and its serial twin.
 
 :class:`WorkerPool` runs :class:`~repro.runner.jobs.JobSpec` lists on
-a pool of ``multiprocessing`` workers (``spawn`` context, so every
-worker is a pristine interpreter that boots its own testbeds).  The
-parent owns all scheduling state and the result store; workers only
-ever see one job at a time, which buys properties the serial campaign
-loop cannot offer:
+persistent worker processes, started with the ``fork`` context where
+the platform offers it (:func:`~repro.runner.forkserver.preferred_context`).
+The parent owns all scheduling state and the result store.  Workers
+take jobs in batches over private pipes and, by default, serve classic
+fuzz trials from a digest-verified snapshot cache
+(:func:`~repro.runner.forkserver.execute_job_cached`).  The pool buys
+properties the serial campaign loop cannot offer:
 
-* **timeout enforcement** — a job exceeding its wall-clock budget gets
-  its worker killed and replaced, and only that job is charged;
-* **crash isolation** — a worker dying mid-job (a simulated hypervisor
-  panic taking the process down, an ``os._exit``) fails that job only;
+* **timeout enforcement** — a batch member that makes no progress
+  within its wall-clock budget gets its worker killed and replaced;
+  only that member is charged, the unstarted tail is requeued;
+* **crash isolation** — a worker dying mid-batch fails the member it
+  was running; results it flushed before dying are harvested;
 * **liveness detection** — each worker carries a heartbeat; a wedged
   process (stopped, deadlocked) is detected even though ``is_alive()``
-  still says yes;
+  still says yes.  The heartbeat thread doubles as a parent-death
+  watchdog, so no worker outlives a SIGKILLed parent;
 * **bounded retry** — timeouts, crashes and
   :class:`~repro.runner.jobs.TransientJobError` failures are retried
   with capped, deterministically jittered exponential backoff;
 * **poison quarantine** — a job that keeps killing its workers is
   quarantined instead of taking the pool down attempt after attempt;
-* **circuit breaking** — too many *consecutive* worker deaths (an
-  environment-level problem, not a bad job) halts the campaign;
+* **circuit breaking, stepping down in place** — too many
+  *consecutive* worker deaths (an environment-level problem, not a bad
+  job) open the circuit.  The same run then steps down once, to fresh
+  workers running one job at a time without the snapshot cache, with a
+  fresh poison tracker and circuit; an open circuit on that bottom
+  rung fails the remaining jobs;
+* **recycling** — workers retire after ``recycle_after`` trials or
+  unbounded RSS growth;
 * **graceful interruption** — SIGINT/SIGTERM stop dispatch, flush the
   store, and leave it resumable instead of dying mid-write.
 
 :class:`SerialRunner` is the in-process twin with identical store and
 event semantics (minus timeout enforcement); ``--jobs 1`` uses it, so
-serial and parallel campaigns share one persistence/resume story.
+serial and parallel campaigns share one persistence/resume story, and
+it is the reference the byte-identity tests compare the pool against.
 """
 
 from __future__ import annotations
@@ -36,23 +47,28 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
+import resource
 import signal
 import threading
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.probes.metrics import MetricsCollector
 from repro.resilience.quarantine import CircuitBreaker, PoisonTracker
 from repro.runner import events as ev
+from repro.runner import forkserver
 from repro.runner.backoff import seeded_backoff
 from repro.runner.events import EventCallback, EventHub
+from repro.runner.forkserver import execute_job_cached, preferred_context
 from repro.runner.jobs import JobSpec, TransientJobError, execute_job
 from repro.runner.store import ResultStore
 
 __all__ = [
     "CampaignFailed",
     "CampaignInterrupted",
+    "ForkServerPool",
     "RunnerOutcome",
     "SerialRunner",
     "WorkerPool",
@@ -60,6 +76,14 @@ __all__ = [
     "run_jobs",
     "seeded_backoff",  # re-exported from repro.runner.backoff
 ]
+
+#: Jobs shipped to a worker per dispatch.
+DEFAULT_BATCH = 8
+#: Trials a worker serves before it is recycled.
+DEFAULT_RECYCLE_AFTER = 256
+#: Peak-RSS growth over a worker's first batch (KiB) that triggers
+#: recycling — a leaking worker is parked before it hurts the host.
+DEFAULT_MAX_RSS_GROWTH_KB = 262144
 
 
 class CampaignFailed(RuntimeError):
@@ -180,11 +204,119 @@ class _SignalGuard:
 
 
 # ----------------------------------------------------------------------
+# What every executor shares
+# ----------------------------------------------------------------------
+
+
+class _Runner:
+    """Run prologue and epilogue shared by the serial runner and the pool.
+
+    :meth:`run` resumes from the store and reports skipped jobs, guards
+    the campaign against signals, flushes the store on interruption
+    and emits ``CAMPAIGN_FINISHED``; subclasses only implement
+    :meth:`_execute` over the jobs still to do.
+    """
+
+    retries: int
+    backoff: float
+    max_backoff: float
+    on_event: Optional[EventCallback]
+    _stop_requested: bool = False
+
+    def request_stop(self) -> None:
+        """Cooperative interruption from another thread.
+
+        Signal handlers only reach the main thread; a runner executing
+        inside a worker thread (the campaign service) is stopped with
+        this instead.  Semantics match a SIGTERM: the store is flushed
+        and the outcome is marked interrupted/resumable.  In-flight
+        pool jobs are abandoned un-acked, so ``--resume`` re-runs them
+        exactly.
+        """
+        self._stop_requested = True
+
+    def run(
+        self, specs: Sequence[JobSpec], store: Optional[ResultStore] = None
+    ) -> RunnerOutcome:
+        specs = list(specs)
+        outcome = RunnerOutcome()
+        hub = EventHub(total=len(specs), callback=self.on_event)
+        remaining = _resume_into(outcome, specs, store)
+        for spec in specs:  # plan order, not set order: deterministic events
+            if spec.job_id in outcome.skipped:
+                hub.emit(ev.JOB_SKIPPED, job_id=spec.job_id)
+        self._outcome, self._store, self._hub = outcome, store, hub
+        if remaining:
+            # The guard goes up before the first worker exists, so an
+            # interrupt during start-up is already a graceful shutdown.
+            with _SignalGuard() as guard:
+
+                def stopped() -> bool:
+                    return guard.tripped or self._stop_requested
+
+                self._execute(remaining, stopped)
+                if stopped():
+                    outcome.interrupted = True
+                    outcome.interrupt_signal = (
+                        guard.describe() or "stop-requested"
+                    )
+        if outcome.interrupted:
+            if store is not None:
+                store.flush()
+            hub.emit(ev.CAMPAIGN_INTERRUPTED, detail=outcome.interrupt_signal)
+        hub.emit(ev.CAMPAIGN_FINISHED)
+        return outcome
+
+    def _execute(
+        self, remaining: List[JobSpec], stopped: Callable[[], bool]
+    ) -> None:
+        raise NotImplementedError
+
+    # -- per-job bookkeeping (on the current run's outcome/store/hub) --
+
+    def _succeed(self, spec, attempt, payload, wall, worker: int = -1) -> None:
+        self._outcome.results[spec.job_id] = payload
+        if self._store is not None:
+            self._store.record_attempt(spec.job_id, attempt, "done", "", wall)
+            self._store.record_success(spec.job_id, payload, wall)
+        self._hub.emit(
+            ev.JOB_FINISHED, job_id=spec.job_id, label=spec.label,
+            worker=worker, attempt=attempt,
+        )
+
+    def _fail(self, spec, attempt, detail, kind: str = ev.JOB_FAILED) -> None:
+        self._outcome.failures[spec.job_id] = detail
+        if self._store is not None:
+            self._store.record_failure(spec.job_id, detail)
+        self._hub.emit(
+            kind, job_id=spec.job_id, label=spec.label, attempt=attempt,
+            detail=detail,
+        )
+
+    def _retry_or_fail(
+        self, spec, attempt, detail, retryable
+    ) -> Optional[float]:
+        """Charge a failed attempt: the backoff before its retry, or
+        None once the job has failed for good."""
+        if retryable and attempt < self.retries:
+            delay = seeded_backoff(
+                self.backoff, attempt + 1, spec.job_id, self.max_backoff
+            )
+            self._hub.emit(
+                ev.JOB_RETRIED, job_id=spec.job_id, label=spec.label,
+                attempt=attempt + 1, detail=detail, delay=delay,
+            )
+            return delay
+        self._fail(spec, attempt, detail)
+        return None
+
+
+# ----------------------------------------------------------------------
 # Serial execution (the --jobs 1 path)
 # ----------------------------------------------------------------------
 
 
-class SerialRunner:
+class SerialRunner(_Runner):
     """In-process executor with the pool's store/retry/event semantics."""
 
     def __init__(
@@ -200,113 +332,58 @@ class SerialRunner:
         self.max_backoff = max_backoff
         self.job_fn = job_fn
         self.on_event = on_event
-        self._stop_requested = False
 
-    def request_stop(self) -> None:
-        """Cooperative interruption from another thread.
-
-        Signal handlers only reach the main thread; a runner executing
-        inside a worker thread (the campaign service) is stopped with
-        this instead.  Semantics match a SIGTERM: the current job
-        finishes, the store is flushed, and the outcome is marked
-        interrupted/resumable.
-        """
-        self._stop_requested = True
-
-    def run(
-        self, specs: Sequence[JobSpec], store: Optional[ResultStore] = None
-    ) -> RunnerOutcome:
-        specs = list(specs)
-        outcome = RunnerOutcome()
-        hub = EventHub(total=len(specs), callback=self.on_event)
-        remaining = _resume_into(outcome, specs, store)
-        for spec in specs:  # plan order, not set order: deterministic events
-            if spec.job_id in outcome.skipped:
-                hub.emit(ev.JOB_SKIPPED, job_id=spec.job_id)
-
-        with _SignalGuard() as guard:
-            for spec in remaining:
-                if guard.tripped or self._stop_requested:
-                    break
-                if store is not None:
-                    store.mark_running(spec.job_id)
-                attempt = 0
-                while not (guard.tripped or self._stop_requested):
-                    hub.emit(
-                        ev.JOB_STARTED, job_id=spec.job_id, label=spec.label,
-                        attempt=attempt,
-                    )
-                    started = time.perf_counter()
-                    try:
-                        payload = self.job_fn(spec, attempt)
-                    except Exception as exc:
-                        wall = time.perf_counter() - started
-                        retryable = isinstance(exc, TransientJobError)
-                        detail = f"{type(exc).__name__}: {exc}"
-                        if store is not None:
-                            store.record_attempt(
-                                spec.job_id, attempt, "error", detail, wall
-                            )
-                        if retryable and attempt < self.retries:
-                            attempt += 1
-                            delay = seeded_backoff(
-                                self.backoff, attempt, spec.job_id,
-                                self.max_backoff,
-                            )
-                            hub.emit(
-                                ev.JOB_RETRIED, job_id=spec.job_id,
-                                label=spec.label, attempt=attempt,
-                                detail=detail, delay=delay,
-                            )
-                            if delay:
-                                time.sleep(delay)
-                            continue
-                        outcome.failures[spec.job_id] = detail
-                        if store is not None:
-                            store.record_failure(spec.job_id, detail)
-                        hub.emit(
-                            ev.JOB_FAILED, job_id=spec.job_id,
-                            label=spec.label, attempt=attempt, detail=detail,
-                        )
-                        break
+    def _execute(self, remaining, stopped) -> None:
+        store, hub = self._store, self._hub
+        for spec in remaining:
+            if stopped():
+                break
+            if store is not None:
+                store.mark_running(spec.job_id)
+            attempt = 0
+            while not stopped():
+                hub.emit(
+                    ev.JOB_STARTED, job_id=spec.job_id, label=spec.label,
+                    attempt=attempt,
+                )
+                started = time.perf_counter()
+                try:
+                    payload = self.job_fn(spec, attempt)
+                except Exception as exc:
                     wall = time.perf_counter() - started
-                    outcome.results[spec.job_id] = payload
+                    detail = f"{type(exc).__name__}: {exc}"
                     if store is not None:
                         store.record_attempt(
-                            spec.job_id, attempt, "done", "", wall
+                            spec.job_id, attempt, "error", detail, wall
                         )
-                        store.record_success(spec.job_id, payload, wall)
-                    hub.emit(
-                        ev.JOB_FINISHED, job_id=spec.job_id, label=spec.label,
-                        attempt=attempt,
+                    delay = self._retry_or_fail(
+                        spec, attempt, detail, isinstance(exc, TransientJobError)
                     )
-                    break
-            if guard.tripped or self._stop_requested:
-                outcome.interrupted = True
-                outcome.interrupt_signal = guard.describe() or "stop-requested"
-                if store is not None:
-                    store.flush()
-                hub.emit(
-                    ev.CAMPAIGN_INTERRUPTED, detail=outcome.interrupt_signal
-                )
-        hub.emit(ev.CAMPAIGN_FINISHED)
-        return outcome
+                    if delay is None:
+                        break
+                    attempt += 1
+                    if delay:
+                        time.sleep(delay)
+                    continue
+                wall = time.perf_counter() - started
+                self._succeed(spec, attempt, payload, wall)
+                break
 
 
 # ----------------------------------------------------------------------
-# Parallel execution
+# The worker pool
 # ----------------------------------------------------------------------
 
-#: Every spawned worker process, for the atexit orphan sweep.  The
+#: Every started worker process, for the atexit orphan sweep.  The
 #: pool reaps its own workers on every exit path; this is the backstop
 #: that guarantees no child outlives the parent even if the pool's
 #: teardown itself is interrupted.
 _LIVE_WORKERS: "weakref.WeakSet" = weakref.WeakSet()
 
 #: Liveness allowance for a worker that has not reported ready yet —
-#: spawn-interpreter bootstrap on a loaded machine takes seconds, and
-#: killing a booting worker for "no heartbeat" just reboots the same
-#: slow path.
+#: interpreter start-up on a loaded machine (a ``spawn`` start takes
+#: seconds) must not read as a wedge, and killing a starting worker
+#: for "no heartbeat" just restarts the same slow path.
 _BOOT_GRACE = 30.0
 
 
@@ -352,51 +429,96 @@ class _ResultChannel:
 def _worker_main(
     worker_id: int,
     job_fn: JobFn,
-    inbox,
-    outbox,
-    heartbeat=None,
+    inbox: Any,
+    outbox: Any,
+    heartbeat: Any = None,
     beat_interval: float = 0.2,
+    restore_chaos: Optional[Any] = None,
 ) -> None:
-    """Worker loop: take one job, run it, report, repeat until sentinel."""
+    """Persistent worker loop: take a batch, stream results, repeat.
+
+    Signal discipline for persistent workers: SIGINT is ignored (a
+    terminal Ctrl-C reaches the whole foreground process group; the
+    parent's signal guard owns interruption policy, and a worker that
+    dies mid-batch would just lose streamed work), and SIGTERM is
+    reset to the default action (a fork-context child inherits the
+    parent's no-op guard handler, which would make ``terminate()``
+    useless).  The heartbeat thread doubles as a parent-death watchdog:
+    if the parent vanishes without closing our inbox (SIGKILL), the
+    reparented worker exits instead of surviving as an orphan.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    # A fork-context child inherits the parent's module state — if the
+    # parent process ever ran execute_job_cached itself, that includes
+    # its snapshot cache and counters.  Start from a clean slate.
+    forkserver._reset_worker_cache(restore_chaos)
+    parent_pid = os.getppid()
     if heartbeat is not None:
+
         def _beat() -> None:
             while True:
                 heartbeat.value = time.monotonic()
+                if os.getppid() != parent_pid:
+                    os._exit(0)  # parent died; do not outlive it
                 time.sleep(beat_interval)
 
         threading.Thread(
             target=_beat, daemon=True, name="repro-heartbeat"
         ).start()
     try:
-        # Interpreter bootstrap can dwarf a tight job budget on a
-        # loaded machine; this tells the parent to start the clock now.
+        # Start-up can dwarf a tight job budget on a loaded machine;
+        # this tells the parent to start the clock now.
         outbox.put((worker_id, None, "ready", None, False, 0.0))
     except OSError:
         return
+    seq = 0
     while True:
         try:
             item = inbox.recv()
-        except EOFError:
-            return  # the parent closed our inbox: shut down
+        except (EOFError, OSError):
+            return  # the parent closed our inbox (or died): shut down
         if item is None:
             return
-        spec_json, attempt = item
-        spec = JobSpec.from_json(spec_json)
-        started = time.perf_counter()
-        status, retryable = "done", False
-        try:
-            payload = job_fn(spec, attempt)
-        except TransientJobError as exc:
-            status, payload, retryable = "error", str(exc), True
-        except BaseException as exc:  # noqa: BLE001 - isolation boundary
-            status, payload = "error", f"{type(exc).__name__}: {exc}"
-        wall = time.perf_counter() - started
+        for spec_json, attempt in item:
+            spec = JobSpec.from_json(spec_json)
+            started = time.perf_counter()
+            status, retryable = "done", False
+            payload: object
+            try:
+                payload = job_fn(spec, attempt)
+            except TransientJobError as exc:
+                status, payload, retryable = "error", str(exc), True
+            except BaseException as exc:  # noqa: BLE001 - isolation boundary
+                status, payload = "error", f"{type(exc).__name__}: {exc}"
+            wall = time.perf_counter() - started
+            try:
+                for infra in forkserver.take_infra_events():
+                    seq += 1
+                    outbox.put(
+                        (
+                            worker_id, spec.job_id, "infra",
+                            dict(infra, seq=seq), False, 0.0,
+                        )
+                    )
+                outbox.put(
+                    (worker_id, spec.job_id, status, payload, retryable, wall)
+                )
+            except OSError:
+                return  # the parent is gone; nobody is listening
+        seq += 1
+        rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        counters = forkserver.take_counters()
         try:
             outbox.put(
-                (worker_id, spec.job_id, status, payload, retryable, wall)
+                (
+                    worker_id, None, "batch-done",
+                    {"seq": seq, "rss_kb": rss_kb, "counters": counters},
+                    False, 0.0,
+                )
             )
         except OSError:
-            return  # the parent is gone; nobody is listening
+            return
 
 
 @dataclass
@@ -405,23 +527,39 @@ class _Worker:
 
     worker_id: int
     process: multiprocessing.process.BaseProcess
-    inbox: Any  # Connection: parent sends (spec, attempt) / None sentinel
+    inbox: Any  # Connection: parent sends a batch / None sentinel
     conn: Any = None  # Connection: parent end of the worker's result pipe
     heartbeat: Any = None  # multiprocessing.Value("d") the worker beats
-    spec: Optional[JobSpec] = None
-    attempt: int = 0
+    #: Start of the current batch member's wall-clock budget (the
+    #: batch-progress clock), on the parent's monotonic clock.
     started_at: float = 0.0
     buffer: bytearray = field(default_factory=bytearray)
     eof: bool = False
-    #: The worker finished interpreter bootstrap (sent its ready
-    #: frame).  Job wall-clock budgets only run from that point — a
-    #: loaded machine can take longer to boot a spawn interpreter
-    #: than a tight job budget allows.
+    #: The worker finished start-up (sent its ready frame).  Job
+    #: wall-clock budgets only run from that point.
     ready: bool = False
+    #: The in-flight batch, as (spec, attempt) pairs; results stream
+    #: back in batch order, so ``batch[acked]`` is always the member
+    #: currently executing.
+    batch: List[Tuple[JobSpec, int]] = field(default_factory=list)
+    acked: int = 0
+    #: Trials served over this worker's whole lifetime.
+    served: int = 0
+    #: Peak RSS (KiB) after the worker's first batch — the baseline
+    #: RSS-growth recycling measures against.
+    baseline_rss: int = 0
+    #: Highest infra/batch-done sequence number seen, for dropping
+    #: chaos-duplicated control messages.
+    infra_seq: int = 0
+    retiring: bool = False
+    recycle_reason: str = ""
 
     @property
     def busy(self) -> bool:
-        return self.spec is not None
+        return self.acked < len(self.batch)
+
+    def current(self) -> Tuple[JobSpec, int]:
+        return self.batch[self.acked]
 
     def last_seen(self) -> float:
         """Most recent proof of life, on the parent's monotonic clock."""
@@ -445,8 +583,18 @@ class _Worker:
         return messages
 
 
-class WorkerPool:
-    """Multiprocessing campaign executor with fault isolation."""
+class WorkerPool(_Runner):
+    """Persistent, batched, snapshot-cached worker pool with an in-place
+    degradation ladder.
+
+    ``job_fn`` runs inside the workers; the default serves classic
+    fuzz trials from the per-worker snapshot cache and runs every
+    other job kind cold.  When the circuit opens, the run steps down
+    once to ``batch=1`` and, in place of ``execute_job_cached``, the
+    cold :func:`~repro.runner.jobs.execute_job`.  A pool configured
+    that way from the start is already on the bottom rung: its open
+    circuit fails the remaining jobs.
+    """
 
     def __init__(
         self,
@@ -455,16 +603,24 @@ class WorkerPool:
         retries: int = 1,
         backoff: float = 0.05,
         max_backoff: float = 5.0,
-        job_fn: JobFn = execute_job,
+        job_fn: JobFn = execute_job_cached,
         on_event: Optional[EventCallback] = None,
         poll_interval: float = 0.05,
         poison_threshold: int = 3,
         circuit_threshold: int = 8,
         liveness_grace: Optional[float] = 30.0,
         beat_interval: float = 0.2,
+        batch: int = DEFAULT_BATCH,
+        recycle_after: int = DEFAULT_RECYCLE_AFTER,
+        max_rss_growth_kb: int = DEFAULT_MAX_RSS_GROWTH_KB,
+        metrics: Optional[MetricsCollector] = None,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if batch < 1:
+            raise ValueError("batch must be >= 1")
+        if recycle_after < 1:
+            raise ValueError("recycle_after must be >= 1")
         self.jobs = jobs
         self.timeout = timeout
         self.retries = retries
@@ -477,91 +633,116 @@ class WorkerPool:
         self.circuit_threshold = circuit_threshold
         self.liveness_grace = liveness_grace
         self.beat_interval = beat_interval
-        self._ctx = multiprocessing.get_context("spawn")
-        self._poison = PoisonTracker(poison_threshold)
-        self._circuit = CircuitBreaker(circuit_threshold)
-        self._halted = ""
-        self._stop_requested = False
+        self.batch = batch
+        self.recycle_after = recycle_after
+        self.max_rss_growth_kb = max_rss_growth_kb
+        #: Infrastructure metrics sink (restores, divergences, cold
+        #: boots, recycles).  Kept separate from any per-trial
+        #: collector: these counters describe execution machinery and
+        #: must never leak into persisted trial results.
+        self.metrics = metrics if metrics is not None else MetricsCollector()
+        #: Plain-dict mirror of the infra counters, for reports/tests.
+        self.stats: Dict[str, int] = {}
+        self._ctx = multiprocessing.get_context(preferred_context())
 
-    def request_stop(self) -> None:
-        """Cooperative interruption from another thread (see
-        :meth:`SerialRunner.request_stop`).  In-flight jobs are
-        abandoned un-acked, so ``--resume`` re-runs them exactly."""
-        self._stop_requested = True
+    # -- hooks ----------------------------------------------------------
 
-    # -- public API -----------------------------------------------------
-
-    def run(
-        self, specs: Sequence[JobSpec], store: Optional[ResultStore] = None
-    ) -> RunnerOutcome:
-        specs = list(specs)
-        outcome = RunnerOutcome()
-        hub = EventHub(total=len(specs), callback=self.on_event)
-        remaining = _resume_into(outcome, specs, store)
-        for spec in specs:  # plan order, not set order: deterministic events
-            if spec.job_id in outcome.skipped:
-                hub.emit(ev.JOB_SKIPPED, job_id=spec.job_id)
-        if not remaining:
-            hub.emit(ev.CAMPAIGN_FINISHED)
-            return outcome
-
-        self._poison = PoisonTracker(self.poison_threshold)
-        self._circuit = CircuitBreaker(self.circuit_threshold)
-        self._halted = ""
-
-        #: (ready_time, spec, attempt) — backoff delays re-dispatch.
-        pending: List[tuple] = [(0.0, spec, 0) for spec in remaining]
-        workers: Dict[int, _Worker] = {}
-        next_worker_id = 0
-
-        abandoned: List[tuple] = []
-        try:
-            # The guard goes up before the first worker exists, so an
-            # interrupt during spawn is already a graceful shutdown.
-            with _SignalGuard() as guard:
-                for _ in range(min(self.jobs, len(pending))):
-                    workers[next_worker_id] = self._spawn(next_worker_id)
-                    next_worker_id += 1
-                while pending or any(w.busy for w in workers.values()):
-                    if guard.tripped or self._halted or self._stop_requested:
-                        break
-                    self._assign(pending, workers, store, hub)
-                    self._drain(workers, pending, outcome, store, hub)
-                    self._check_timeouts(workers, pending, outcome, store, hub)
-                    self._check_liveness(workers, pending, outcome, store, hub)
-                    self._check_crashes(workers, pending, outcome, store, hub)
-                    next_worker_id = self._replenish(
-                        workers, pending, next_worker_id
-                    )
-                if guard.tripped or self._stop_requested:
-                    outcome.interrupted = True
-                    outcome.interrupt_signal = (
-                        guard.describe() or "stop-requested"
-                    )
-                abandoned = [
-                    (w.spec, w.attempt) for w in workers.values() if w.busy
-                ]
-        finally:
-            self._shutdown(workers)
-
-        if outcome.interrupted:
-            if store is not None:
-                store.flush()
-            hub.emit(ev.CAMPAIGN_INTERRUPTED, detail=outcome.interrupt_signal)
-        elif self._halted:
-            self._fail_remaining(
-                pending, abandoned, outcome, store, hub, self._halted
-            )
-        hub.emit(ev.CAMPAIGN_FINISHED)
-        return outcome
-
-    # -- scheduling internals ------------------------------------------
+    def _wrap_job_fn(self, job_fn: JobFn) -> JobFn:
+        """Per-rung job-function hook — the chaos harness wraps it."""
+        return job_fn
 
     def _wrap_outbox(self, channel):
         """Per-worker result-channel hook — the chaos harness wraps it."""
         return channel
 
-    def _spawn(self, worker_id: int) -> _Worker:
+    def _restore_chaos(self) -> Optional[Any]:
+        """Worker-side restore fault injector — chaos harness hook.
+
+        Must return a picklable object with a
+        ``before_restore(entry, job_id, attempt)`` method (or None).
+        It runs in the worker immediately before each cached restore,
+        which is where the chaos harness corrupts snapshot bytes and
+        wedges restores.
+        """
+        return None
+
+    # -- the ladder -----------------------------------------------------
+
+    def _execute(self, remaining, stopped) -> None:
+        self.stats = {}
+        self._pending: List[Tuple[float, JobSpec, int]] = [
+            (0.0, spec, 0) for spec in remaining
+        ]
+        self._next_worker_id = 0
+        self._job_fn, self._batch = self.job_fn, self.batch
+        while True:
+            halted = self._run_rung(stopped)
+            if not halted or stopped() or not self._pending:
+                return
+            if self._batch == 1 and self._job_fn is not execute_job_cached:
+                self._fail_remaining(halted)
+                return
+            self._hub.emit(
+                ev.POOL_DEGRADED,
+                detail=(
+                    f"{halted}; stepping {len(self._pending)} job(s) down "
+                    "to one job per worker without the snapshot cache"
+                ),
+            )
+            self._count("forkserver.degraded")
+            if self._job_fn is execute_job_cached:
+                self._job_fn = execute_job
+            self._batch = 1
+
+    def _run_rung(self, stopped: Callable[[], bool]) -> str:
+        """Run the pending jobs on fresh workers until they are done,
+        the campaign is stopped or the circuit opens.
+
+        Returns the open circuit's verdict ("" if it stayed closed).
+        Batch members still unacked at the end go back to pending:
+        they were never recorded as done, so the store still counts
+        them as pending work and ``--resume`` picks them up exactly.
+        """
+        self._poison = PoisonTracker(self.poison_threshold)
+        self._circuit = CircuitBreaker(self.circuit_threshold)
+        self._halted = ""
+        self._workers: Dict[int, _Worker] = {}
+        try:
+            self._replenish()
+            while self._pending or any(
+                w.busy for w in self._workers.values()
+            ):
+                if stopped() or self._halted:
+                    break
+                self._assign()
+                self._drain()
+                self._check_timeouts()
+                self._check_liveness()
+                self._check_crashes()
+                self._replenish()
+            # The last batch's trailing batch-done control message
+            # (carrying the worker's cache counters) lands moments
+            # after its last result; the loop above already exited by
+            # then.  Drain once more so the counters survive.
+            self._drain()
+            for worker in self._workers.values():
+                self._pending.extend(
+                    (0.0, spec, attempt)
+                    for spec, attempt in worker.batch[worker.acked:]
+                )
+        finally:
+            self._shutdown()
+        return self._halted
+
+    def _count(self, key: str, n: int = 1) -> None:
+        self.stats[key] = self.stats.get(key, 0) + n
+        self.metrics.count(key, n)
+
+    # -- scheduling internals ------------------------------------------
+
+    def _spawn(self) -> None:
+        worker_id = self._next_worker_id
+        self._next_worker_id += 1
         # One private pipe pair per worker.  Results never share a
         # transport: see _ResultChannel for why a shared queue is a
         # liveness hazard under kills.
@@ -571,12 +752,12 @@ class WorkerPool:
         process = self._ctx.Process(
             target=_worker_main,
             args=(
-                worker_id, self.job_fn, inbox_r,
+                worker_id, self._wrap_job_fn(self._job_fn), inbox_r,
                 self._wrap_outbox(_ResultChannel(result_w)), heartbeat,
-                self.beat_interval,
+                self.beat_interval, self._restore_chaos(),
             ),
             daemon=True,
-            name=f"repro-runner-{worker_id}",
+            name=f"repro-worker-{worker_id}",
         )
         process.start()
         # Drop the child's ends so a dead worker reads as EOF here.
@@ -584,38 +765,49 @@ class WorkerPool:
         result_w.close()
         os.set_blocking(result_r.fileno(), False)
         _LIVE_WORKERS.add(process)
-        return _Worker(
+        self._workers[worker_id] = _Worker(
             worker_id=worker_id, process=process, inbox=inbox_w,
             conn=result_r, heartbeat=heartbeat,
         )
 
-    def _assign(self, pending, workers, store, hub) -> None:
+    def _replenish(self) -> None:
+        """Keep the pool sized to the remaining work after kills."""
+        busy = sum(1 for w in self._workers.values() if w.busy)
+        target = min(self.jobs, busy + len(self._pending))
+        while len(self._workers) < target:
+            self._spawn()
+
+    def _assign(self) -> None:
         now = time.monotonic()
-        for worker in workers.values():
-            if worker.busy or not pending:
+        for worker in self._workers.values():
+            if worker.busy or worker.retiring or not self._pending:
                 continue
-            index = next(
-                (i for i, (ready, _, _) in enumerate(pending) if ready <= now),
-                None,
-            )
-            if index is None:
+            indices = [
+                i for i, (ready, _, _) in enumerate(self._pending)
+                if ready <= now
+            ][: self._batch]
+            if not indices:
                 continue
-            _, spec, attempt = pending.pop(index)
-            worker.spec = spec
-            worker.attempt = attempt
+            worker.batch = [self._pending[i][1:] for i in indices]
+            for i in reversed(indices):
+                del self._pending[i]
+            worker.acked = 0
             worker.started_at = now
             try:
-                worker.inbox.send((spec.to_json(), attempt))
+                worker.inbox.send(
+                    [(spec.to_json(), attempt) for spec, attempt in worker.batch]
+                )
             except OSError:
-                pass  # worker just died; _check_crashes re-queues the job
-            if store is not None and attempt == 0:
-                store.mark_running(spec.job_id)
-            hub.emit(
-                ev.JOB_STARTED, job_id=spec.job_id, label=spec.label,
-                worker=worker.worker_id, attempt=attempt,
-            )
+                pass  # worker just died; _check_crashes re-queues the batch
+            for spec, attempt in worker.batch:
+                if self._store is not None and attempt == 0:
+                    self._store.mark_running(spec.job_id)
+                self._hub.emit(
+                    ev.JOB_STARTED, job_id=spec.job_id, label=spec.label,
+                    worker=worker.worker_id, attempt=attempt,
+                )
 
-    def _drain(self, workers, pending, outcome, store, hub) -> None:
+    def _drain(self) -> None:
         """Process every available worker message (block briefly once).
 
         Reads are non-blocking and frame-parsed in the parent: a
@@ -624,7 +816,7 @@ class WorkerPool:
         """
         conns = {
             worker.conn: worker
-            for worker in workers.values() if not worker.eof
+            for worker in self._workers.values() if not worker.eof
         }
         if not conns:
             time.sleep(self.poll_interval)
@@ -636,7 +828,7 @@ class WorkerPool:
             worker = conns[conn]
             self._pump(worker)
             for message in worker.take_messages():
-                self._dispatch(message, workers, pending, outcome, store, hub)
+                self._dispatch(message)
 
     @staticmethod
     def _pump(worker: _Worker) -> None:
@@ -655,69 +847,121 @@ class WorkerPool:
                 return
             worker.buffer.extend(chunk)
 
-    def _dispatch(
-        self, message, workers, pending, outcome, store, hub
-    ) -> None:
+    def _dispatch(self, message) -> None:
         worker_id, job_id, status, payload, retryable, wall = message
-        worker = workers.get(worker_id)
+        worker = self._workers.get(worker_id)
+        if worker is None:
+            return  # a replaced or retired worker's late message
         if status == "ready":
-            # Bootstrap finished: charge the in-flight job's wall-clock
-            # budget from here, not from when the job was queued into a
-            # still-booting interpreter.
-            if worker is not None:
-                worker.ready = True
-                if worker.busy:
-                    worker.started_at = time.monotonic()
+            # Start-up finished: charge the in-flight batch's wall-clock
+            # budget from here, not from when it was queued.
+            worker.ready = True
+            if worker.busy:
+                worker.started_at = time.monotonic()
             return
-        if worker is None or worker.spec is None or worker.spec.job_id != job_id:
-            return  # stale message (a chaos duplicate, a replaced worker)
-        spec, attempt = worker.spec, worker.attempt
-        worker.spec = None
+        if status in ("infra", "batch-done"):
+            if payload.get("seq", 0) <= worker.infra_seq:
+                return  # chaos-duplicated control message
+            worker.infra_seq = payload["seq"]
+            if status == "infra":
+                self._on_infra(payload, job_id, worker)
+            else:
+                self._on_batch_done(payload, worker)
+            return
+        if not worker.busy:
+            return  # stale result (a chaos duplicate after batch end)
+        spec, attempt = worker.current()
+        if spec.job_id != job_id:
+            return  # stale or duplicated mid-batch message
+        worker.acked += 1
+        worker.served += 1
+        worker.started_at = time.monotonic()  # batch progress clock
         self._circuit.record_success()  # the worker survived its job
         if status == "done":
-            outcome.results[spec.job_id] = payload
-            if store is not None:
-                store.record_attempt(spec.job_id, attempt, "done", "", wall)
-                store.record_success(spec.job_id, payload, wall)
-            hub.emit(
-                ev.JOB_FINISHED, job_id=spec.job_id, label=spec.label,
-                worker=worker_id, attempt=attempt,
-            )
+            self._succeed(spec, attempt, payload, wall, worker_id)
         else:
-            if store is not None:
-                store.record_attempt(
+            if self._store is not None:
+                self._store.record_attempt(
                     spec.job_id, attempt, "error", str(payload), wall
                 )
-            self._retry_or_fail(
-                spec, attempt, str(payload), retryable, pending, outcome,
-                store, hub,
+            self._retry(spec, attempt, str(payload), retryable)
+        if not worker.busy:
+            worker.batch = []
+            worker.acked = 0
+            if worker.retiring:
+                self._retire(worker)
+
+    def _on_infra(self, payload, job_id, worker) -> None:
+        if payload.get("kind") == "restore-diverged":
+            self._hub.emit(
+                ev.RESTORE_DIVERGED,
+                job_id=job_id or "",
+                worker=worker.worker_id,
+                detail=(
+                    f"xen-{payload.get('version', '?')}: restored digest "
+                    f"{payload.get('actual', '')[:12]} != checkpoint "
+                    f"{payload.get('expected', '')[:12]}"
+                ),
             )
 
-    def _check_timeouts(self, workers, pending, outcome, store, hub) -> None:
+    def _on_batch_done(self, payload, worker) -> None:
+        counters = payload.get("counters", {})
+        for key in sorted(counters):
+            self._count(key, counters[key])
+        rss = int(payload.get("rss_kb", 0))
+        if worker.baseline_rss == 0:
+            worker.baseline_rss = rss
+        grown = rss - worker.baseline_rss
+        reason = ""
+        if worker.served >= self.recycle_after:
+            reason = (
+                f"served {worker.served} trials "
+                f"(recycle_after {self.recycle_after})"
+            )
+        elif self.max_rss_growth_kb and grown > self.max_rss_growth_kb:
+            reason = (
+                f"rss grew {grown} KiB over baseline "
+                f"(limit {self.max_rss_growth_kb})"
+            )
+        if reason:
+            worker.retiring = True
+            worker.recycle_reason = reason
+            if not worker.busy:
+                self._retire(worker)
+
+    def _retire(self, worker: _Worker) -> None:
+        """Gracefully replace a worker that hit its recycling limit."""
+        self._hub.emit(
+            ev.WORKER_RECYCLED, worker=worker.worker_id,
+            detail=worker.recycle_reason,
+        )
+        self._count("forkserver.workers.recycled")
+        self._workers.pop(worker.worker_id, None)
+        try:
+            worker.inbox.send(None)
+        except OSError:
+            pass
+        worker.process.join(timeout=2.0)
+        self._kill(worker)  # force + close pipes if still alive
+
+    # -- failure paths --------------------------------------------------
+
+    def _check_timeouts(self) -> None:
         if self.timeout is None:
             return
         now = time.monotonic()
-        for worker in list(workers.values()):
-            spec, attempt = worker.spec, worker.attempt
-            if spec is None or not worker.ready:
-                continue  # boot time is not the job's; liveness covers wedges
+        for worker in list(self._workers.values()):
+            if not worker.busy or not worker.ready:
+                continue  # start-up time is not the job's; liveness covers wedges
             if now - worker.started_at <= self.timeout:
                 continue
-            detail = f"exceeded {self.timeout:.1f}s wall-clock budget"
-            hub.emit(
-                ev.JOB_TIMEOUT, job_id=spec.job_id, label=spec.label,
-                worker=worker.worker_id, attempt=attempt, detail=detail,
+            detail = (
+                f"exceeded {self.timeout:.1f}s wall-clock budget on batch "
+                f"member {worker.acked + 1}/{len(worker.batch)}"
             )
-            self._kill(workers, worker)
-            if store is not None:
-                store.record_attempt(
-                    spec.job_id, attempt, "timeout", detail, self.timeout
-                )
-            self._handle_death(
-                spec, attempt, detail, pending, outcome, store, hub
-            )
+            self._lost(worker, ev.JOB_TIMEOUT, "timeout", detail, self.timeout)
 
-    def _check_liveness(self, workers, pending, outcome, store, hub) -> None:
+    def _check_liveness(self) -> None:
         """Detect wedged workers whose process is alive but silent.
 
         ``is_alive()`` cannot see a SIGSTOPped or deadlocked worker;
@@ -728,13 +972,12 @@ class WorkerPool:
         if self.liveness_grace is None:
             return
         now = time.monotonic()
-        for worker in list(workers.values()):
-            spec, attempt = worker.spec, worker.attempt
-            if spec is None or not worker.process.is_alive():
+        for worker in list(self._workers.values()):
+            if not worker.busy or not worker.process.is_alive():
                 continue
-            # A still-booting interpreter has not started its beat
-            # thread yet; give it the boot allowance, not the (often
-            # much tighter) steady-state grace.
+            # A starting worker has not started its beat thread yet;
+            # give it the boot allowance, not the (often much tighter)
+            # steady-state grace.
             grace = (
                 self.liveness_grace if worker.ready
                 else max(self.liveness_grace, _BOOT_GRACE)
@@ -742,130 +985,91 @@ class WorkerPool:
             stale = now - worker.last_seen()
             if stale <= grace:
                 continue
-            detail = (
-                f"no heartbeat for {stale:.1f}s "
-                f"(grace {grace:.1f}s)"
-            )
-            hub.emit(
-                ev.WORKER_UNRESPONSIVE, job_id=spec.job_id, label=spec.label,
-                worker=worker.worker_id, attempt=attempt, detail=detail,
-            )
-            self._kill(workers, worker)
-            if store is not None:
-                store.record_attempt(
-                    spec.job_id, attempt, "unresponsive", detail
-                )
-            self._handle_death(
-                spec, attempt, detail, pending, outcome, store, hub
-            )
+            detail = f"no heartbeat for {stale:.1f}s (grace {grace:.1f}s)"
+            self._lost(worker, ev.WORKER_UNRESPONSIVE, "unresponsive", detail)
 
-    def _check_crashes(self, workers, pending, outcome, store, hub) -> None:
+    def _check_crashes(self) -> None:
         """Detect dead workers and fail (or retry) their in-flight jobs."""
-        for worker in list(workers.values()):
+        for worker in list(self._workers.values()):
             if worker.process.is_alive():
                 continue
-            spec, attempt = worker.spec, worker.attempt
-            self._kill(workers, worker)
-            if spec is not None:
-                detail = (
-                    f"worker crashed (exit code {worker.process.exitcode})"
-                )
-                hub.emit(
-                    ev.WORKER_CRASHED, job_id=spec.job_id, label=spec.label,
-                    worker=worker.worker_id, attempt=attempt, detail=detail,
-                )
-                if store is not None:
-                    store.record_attempt(spec.job_id, attempt, "crash", detail)
-                self._handle_death(
-                    spec, attempt, detail, pending, outcome, store, hub
-                )
+            # Harvest results the worker flushed before dying — they
+            # are complete frames in its private pipe, and re-running
+            # their jobs would only redo identical work.
+            self._pump(worker)
+            for message in worker.take_messages():
+                self._dispatch(message)
+            if not worker.busy:
+                self._kill(worker)
+                continue
+            detail = (
+                f"worker crashed (exit code {worker.process.exitcode}) "
+                f"on batch member {worker.acked + 1}/{len(worker.batch)}"
+            )
+            self._lost(worker, ev.WORKER_CRASHED, "crash", detail)
 
-    def _handle_death(
-        self, spec, attempt, detail, pending, outcome, store, hub
+    def _lost(
+        self, worker: _Worker, kind: str, status: str, detail: str,
+        wall: Optional[float] = None,
     ) -> None:
+        """The worker is gone under its current member: charge that
+        member, and requeue the members after it at their existing
+        attempt count — the worker never started them, so its death is
+        not their failure."""
+        spec, attempt = worker.current()
+        self._hub.emit(
+            kind, job_id=spec.job_id, label=spec.label,
+            worker=worker.worker_id, attempt=attempt, detail=detail,
+        )
+        self._kill(worker)
+        if self._store is not None:
+            self._store.record_attempt(spec.job_id, attempt, status, detail, wall)
+        self._pending.extend(
+            (0.0, member, tries) for member, tries in worker.batch[worker.acked + 1:]
+        )
+        self._handle_death(spec, attempt, detail)
+
+    def _handle_death(self, spec: JobSpec, attempt: int, detail: str) -> None:
         """A worker died under this job: quarantine, retry, or fail.
 
         Two guards fire before the ordinary retry path: the poison
         tracker quarantines a *job* that keeps killing workers, and the
-        circuit breaker halts the *campaign* when workers die
-        consecutively regardless of job — the first is a bad input,
-        the second a bad environment.
+        circuit breaker halts the *rung* when workers die consecutively
+        regardless of job — the first is a bad input, the second a bad
+        environment.
         """
         verdict = self._poison.record_death(spec.job_id)
         if verdict is not None:
             quarantine_detail = verdict.render()
-            outcome.failures[spec.job_id] = quarantine_detail
-            if store is not None:
-                store.record_attempt(
+            if self._store is not None:
+                self._store.record_attempt(
                     spec.job_id, attempt, "quarantined", quarantine_detail
                 )
-                store.record_failure(spec.job_id, quarantine_detail)
-            hub.emit(
-                ev.JOB_QUARANTINED, job_id=spec.job_id, label=spec.label,
-                attempt=attempt, detail=quarantine_detail,
+            self._fail(
+                spec, attempt, quarantine_detail, kind=ev.JOB_QUARANTINED
             )
         else:
-            self._retry_or_fail(
-                spec, attempt, detail, True, pending, outcome, store, hub
-            )
+            self._retry(spec, attempt, detail, True)
         if self._circuit.record_death():
             self._halted = self._circuit.render()
-            hub.emit(ev.CIRCUIT_OPEN, detail=self._halted)
+            self._hub.emit(ev.CIRCUIT_OPEN, detail=self._halted)
 
-    def _replenish(self, workers, pending, next_worker_id) -> int:
-        """Keep the pool sized to the remaining work after kills."""
-        busy = sum(1 for w in workers.values() if w.busy)
-        target = min(self.jobs, busy + len(pending))
-        while len(workers) < target:
-            workers[next_worker_id] = self._spawn(next_worker_id)
-            next_worker_id += 1
-        return next_worker_id
+    def _retry(self, spec, attempt, detail, retryable) -> None:
+        delay = self._retry_or_fail(spec, attempt, detail, retryable)
+        if delay is not None:
+            self._pending.append((time.monotonic() + delay, spec, attempt + 1))
 
-    def _retry_or_fail(
-        self, spec, attempt, detail, retryable, pending, outcome, store, hub
-    ) -> None:
-        if retryable and attempt < self.retries:
-            delay = seeded_backoff(
-                self.backoff, attempt + 1, spec.job_id, self.max_backoff
-            )
-            pending.append((time.monotonic() + delay, spec, attempt + 1))
-            hub.emit(
-                ev.JOB_RETRIED, job_id=spec.job_id, label=spec.label,
-                attempt=attempt + 1, detail=detail, delay=delay,
-            )
-            return
-        outcome.failures[spec.job_id] = detail
-        if store is not None:
-            store.record_failure(spec.job_id, detail)
-        hub.emit(
-            ev.JOB_FAILED, job_id=spec.job_id, label=spec.label,
-            attempt=attempt, detail=detail,
-        )
-
-    def _fail_remaining(
-        self, pending, abandoned, outcome, store, hub, detail
-    ) -> None:
-        """Circuit open: fail everything still queued or in flight."""
-        leftovers = [(spec, attempt) for _ready, spec, attempt in pending]
-        leftovers.extend(
-            (spec, attempt) for spec, attempt in abandoned if spec is not None
-        )
-        pending.clear()
-        for spec, attempt in leftovers:
-            if spec.job_id in outcome.failures:
-                continue
-            outcome.failures[spec.job_id] = detail
-            if store is not None:
-                store.record_failure(spec.job_id, detail)
-            hub.emit(
-                ev.JOB_FAILED, job_id=spec.job_id, label=spec.label,
-                attempt=attempt, detail=detail,
-            )
+    def _fail_remaining(self, detail: str) -> None:
+        """Circuit open on the bottom rung: fail everything still queued."""
+        leftovers, self._pending = self._pending, []
+        for _ready, spec, attempt in leftovers:
+            if spec.job_id not in self._outcome.failures:
+                self._fail(spec, attempt, detail)
 
     # -- teardown -------------------------------------------------------
 
-    def _kill(self, workers: Dict[int, _Worker], worker: _Worker) -> None:
-        workers.pop(worker.worker_id, None)
+    def _kill(self, worker: _Worker) -> None:
+        self._workers.pop(worker.worker_id, None)
         if worker.process.is_alive():
             worker.process.terminate()
             worker.process.join(timeout=2.0)
@@ -878,17 +1082,23 @@ class WorkerPool:
             except OSError:
                 pass
 
-    def _shutdown(self, workers: Dict[int, _Worker]) -> None:
-        for worker in list(workers.values()):
+    def _shutdown(self) -> None:
+        workers = list(self._workers.values())
+        for worker in workers:
             try:
                 worker.inbox.send(None)
             except Exception:
                 pass
         deadline = time.monotonic() + 5.0
-        for worker in list(workers.values()):
+        for worker in workers:
             worker.process.join(timeout=max(0.0, deadline - time.monotonic()))
-        for worker in list(workers.values()):
-            self._kill(workers, worker)
+        for worker in workers:
+            self._kill(worker)
+
+
+#: A second name for the one pool (``perfbench`` and older callers
+#: import it); the same class, not a subclass.
+ForkServerPool = WorkerPool
 
 
 # ----------------------------------------------------------------------
@@ -900,42 +1110,34 @@ def make_runner(
     jobs: int = 1,
     timeout: Optional[float] = None,
     retries: int = 1,
-    job_fn: JobFn = execute_job,
+    job_fn: Optional[JobFn] = None,
     on_event: Optional[EventCallback] = None,
     max_backoff: float = 5.0,
     poison_threshold: int = 3,
     circuit_threshold: int = 8,
     liveness_grace: Optional[float] = 30.0,
     fork_server: bool = False,
-    batch: int = 8,
-    recycle_after: int = 256,
+    batch: int = DEFAULT_BATCH,
+    recycle_after: int = DEFAULT_RECYCLE_AFTER,
 ):
-    """A SerialRunner for ``jobs=1``, a WorkerPool otherwise.
+    """A SerialRunner for ``jobs=1``, the WorkerPool otherwise.
 
-    ``fork_server=True`` selects the persistent snapshot-cached
-    :class:`~repro.runner.forkserver.ForkServerPool` at any job count
-    (even one worker benefits from the snapshot cache).
+    ``fork_server=True`` runs in a worker process even at ``jobs=1``.
+    ``job_fn`` defaults to each runner's own: the cold
+    :func:`~repro.runner.jobs.execute_job` in process, the
+    snapshot-cached one in workers.
     """
-    if fork_server:
-        from repro.runner.forkserver import ForkServerPool, execute_job_cached
-
-        return ForkServerPool(
-            jobs=max(jobs, 1), batch=batch, recycle_after=recycle_after,
-            timeout=timeout, retries=retries, max_backoff=max_backoff,
-            job_fn=execute_job_cached if job_fn is execute_job else job_fn,
-            on_event=on_event, poison_threshold=poison_threshold,
-            circuit_threshold=circuit_threshold,
-            liveness_grace=liveness_grace,
-        )
-    if jobs <= 1:
+    if jobs <= 1 and not fork_server:
         return SerialRunner(
-            retries=retries, max_backoff=max_backoff, job_fn=job_fn,
-            on_event=on_event,
+            retries=retries, max_backoff=max_backoff,
+            job_fn=job_fn or execute_job, on_event=on_event,
         )
     return WorkerPool(
         jobs=jobs, timeout=timeout, retries=retries, max_backoff=max_backoff,
-        job_fn=job_fn, on_event=on_event, poison_threshold=poison_threshold,
+        job_fn=job_fn or execute_job_cached, on_event=on_event,
+        poison_threshold=poison_threshold,
         circuit_threshold=circuit_threshold, liveness_grace=liveness_grace,
+        batch=batch, recycle_after=recycle_after,
     )
 
 
@@ -945,7 +1147,7 @@ def run_jobs(
     timeout: Optional[float] = None,
     retries: int = 1,
     store: Optional[ResultStore] = None,
-    job_fn: JobFn = execute_job,
+    job_fn: Optional[JobFn] = None,
     on_event: Optional[EventCallback] = None,
 ) -> RunnerOutcome:
     """One-call campaign execution: plan in, outcome out."""

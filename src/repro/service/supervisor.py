@@ -6,8 +6,9 @@ One :class:`Supervisor` owns everything below the HTTP layer:
   a campaign is only acknowledged once its submission record has
   been fsynced, so an acked campaign survives any crash.
 * **Execution** — campaigns run on a small thread pool; each thread
-  drives one of the existing runners (serial / spawn pool / fork
-  server) against the campaign's own shard store.  Content-derived
+  drives a runner from :func:`~repro.runner.pool.make_runner` (the
+  serial runner or the one worker pool) against the campaign's own
+  shard store.  Content-derived
   job IDs make every pass resumable: after a SIGKILL the restarted
   supervisor re-runs only what the shard store has not recorded.
 * **Events** — every runner event is appended to the campaign's
@@ -16,8 +17,9 @@ One :class:`Supervisor` owns everything below the HTTP layer:
   replays from any acked seq on reconnect.
 * **Degradation ladder** — a circuit-open does not fail the
   campaign: the supervisor marks it *degraded* and re-runs the
-  unfinished remainder on a fresh fallback pool, a bounded number
-  of times.  Only exhausted ladders report failure.
+  unfinished remainder on a fresh pool with a roomier circuit, a
+  bounded number of times (on top of the pool's own in-place
+  step-down).  Only exhausted ladders report failure.
 * **Drain** — ``begin_drain()`` flips submissions to 503 and asks
   every active runner to stop cooperatively; batches in flight are
   acked and flushed, and interrupted campaigns resume on next boot.
@@ -70,7 +72,7 @@ class ServiceConfig:
     max_backoff: float = 5.0
     #: Heartbeat grace before a worker counts as wedged.
     liveness_grace: Optional[float] = 30.0
-    #: Fork-server dispatch batch size.
+    #: Pool dispatch batch size.
     batch: int = 8
     #: Journal a batch ack every this many completed jobs.
     ack_every: int = 8
@@ -399,9 +401,8 @@ class Supervisor:
         cfg = self.config
         callback = self._callback_for(record, store, stream)
         if fallback:
-            # Degraded pass: a fresh spawn-per-job pool with a roomier
-            # circuit and extra retries — the point is to finish, not
-            # to be fast.
+            # Degraded pass: a fresh pool with a roomier circuit and
+            # extra retries — the point is to finish, not to be fast.
             return make_runner(
                 jobs=max(cfg.jobs, 2),
                 timeout=cfg.timeout,

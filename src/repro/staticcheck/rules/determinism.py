@@ -4,8 +4,8 @@
 The runner's guarantee (PR 1) is that parallel campaigns equal serial
 ones byte for byte, because every fuzz trial derives a private seeded
 ``random.Random`` and every job is identified by a content hash.  The
-scope includes the whole ``repro/runner/`` tree — the fork-server
-(``repro.runner.forkserver``) restores cached snapshots between
+scope includes the whole ``repro/runner/`` tree — the pool workers'
+lease cache (``repro.runner.forkserver``) restores cached snapshots between
 trials, so any ambient nondeterminism there would poison *every*
 subsequent trial served from the same worker, not just one.
 Three syntactic habits silently break that guarantee:

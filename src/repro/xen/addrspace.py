@@ -158,7 +158,9 @@ class AddressSpace:
         if kind == XEN_SPECIAL_LINEAR_ALIAS:
             offset = va - layout.LINEAR_ALIAS_START
             mfn = offset >> PAGE_SHIFT
-            if mfn >= self.xen.machine.num_frames:
+            # A fuzzed PUD slot can alias a VA below the region start:
+            # a negative offset is as far out of memory as a large one.
+            if not 0 <= mfn < self.xen.machine.num_frames:
                 raise deny("alias beyond end of memory")
             return mfn, word_index(va)
 

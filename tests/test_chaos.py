@@ -32,6 +32,7 @@ from repro.runner import (
     SerialRunner,
     StoreCorrupt,
     WorkerPool,
+    execute_job,
     plan_campaign,
     plan_fuzz,
 )
@@ -129,7 +130,7 @@ class TestForkServerChaosInvariant:
         specs = plan_fuzz("4.13", ["idt", "m2p"], 5, 20230701)
         fork_report = run_chaos_campaign(
             specs, seed=2, store_path=str(tmp_path / "fork.sqlite"),
-            jobs=2, timeout=3.0, pool_mode="fork-server",
+            jobs=2, timeout=3.0,
         )
         assert fork_report.identical, fork_report.render()
         assert fork_report.episodes >= 1
@@ -148,13 +149,6 @@ class TestForkServerChaosInvariant:
         # serial reference's store bytes
         assert fork_report.chaos_json == spawn_report.chaos_json
         assert no_orphans()
-
-    def test_unknown_pool_mode_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="pool_mode"):
-            run_chaos_campaign(
-                [selftest("ok")], seed=1,
-                store_path=str(tmp_path / "x.sqlite"), pool_mode="threads",
-            )
 
 
 class TestPoisonQuarantine:
@@ -188,7 +182,7 @@ class TestCircuitBreaker:
         recorder = EventRecorder()
         pool = WorkerPool(
             jobs=1, retries=0, poison_threshold=99, circuit_threshold=2,
-            on_event=recorder,
+            batch=1, job_fn=execute_job, on_event=recorder,
         )
         specs = [selftest("crash"), selftest("crash:b"), selftest("ok")]
         outcome = pool.run(specs)

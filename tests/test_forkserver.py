@@ -9,9 +9,10 @@ Three layers of coverage:
 * the worker-side snapshot cache (``execute_job_cached``) — byte
   parity with the cold-boot executor, divergence eviction and
   cold-boot fallback;
-* :class:`~repro.runner.forkserver.ForkServerPool` — batch dispatch,
-  crash/timeout recovery mid-batch, worker recycling, degradation to
-  the spawn pool, graceful interruption with exact resume, and the
+* the pool (:class:`~repro.runner.pool.WorkerPool`, also named
+  ``ForkServerPool``) — batch dispatch, crash/timeout recovery
+  mid-batch, worker recycling, the in-place degradation ladder,
+  graceful interruption with exact resume, and the
   no-orphan-survives-parent-SIGKILL regression.
 """
 
@@ -288,11 +289,53 @@ class TestForkServerPool:
         ]
         pool = ForkServerPool(
             jobs=1, batch=1, retries=0, poison_threshold=99,
-            circuit_threshold=2, degrade=False, on_event=recorder,
+            circuit_threshold=2, job_fn=execute_job, on_event=recorder,
         )
         outcome = pool.run(specs)
         assert ev.POOL_DEGRADED not in recorder.kinds()
         assert specs[-1].job_id in outcome.failures
+        assert no_orphans()
+
+    def test_ladder_steps_down_once_in_place(self):
+        """One open circuit steps the same run down; a second fails the rest.
+
+        Eight fuzz trials fill (and complete) the first batch on the
+        snapshot cache.  Two consecutive crashes then open the circuit:
+        the pool steps down to one cold job per worker, finishes the
+        healthy leftovers without a single restore, and on the bottom
+        rung two more consecutive crashes fail what is left.
+        """
+        fuzz = plan_fuzz("4.13", ["idt"], 8, 20230701)
+        crash = [selftest("crash", f"c{i}") for i in range(4)]
+        ok = [selftest("ok", f"k{i}") for i in range(3)]
+        specs = fuzz + [crash[0], crash[1], ok[0], ok[1], crash[2],
+                        crash[3], ok[2]]
+        recorder = EventRecorder()
+        restores_at_step_down = []
+
+        def on_event(event) -> None:
+            recorder(event)
+            if event.kind == ev.POOL_DEGRADED:
+                restores_at_step_down.append(
+                    pool.stats.get("forkserver.restores", 0)
+                )
+
+        pool = ForkServerPool(
+            jobs=1, retries=0, poison_threshold=99, circuit_threshold=2,
+            on_event=on_event,
+        )
+        outcome = pool.run(specs)
+        assert recorder.kinds().count(ev.POOL_DEGRADED) == 1
+        assert recorder.kinds().count(ev.CIRCUIT_OPEN) == 2
+        assert pool.stats["forkserver.degraded"] == 1
+        assert restores_at_step_down == [len(fuzz) - 1]
+        assert pool.stats["forkserver.restores"] == len(fuzz) - 1
+        reference = SerialRunner().run(fuzz)
+        for spec in fuzz:
+            assert outcome.results[spec.job_id] == reference.results[spec.job_id]
+        assert {ok[0].job_id, ok[1].job_id} <= set(outcome.results)
+        assert set(outcome.failures) == {s.job_id for s in crash} | {ok[2].job_id}
+        assert "circuit breaker open" in outcome.failures[ok[2].job_id]
         assert no_orphans()
 
     def test_resume_skips_completed_jobs(self, tmp_path):
@@ -367,7 +410,7 @@ class TestGracefulShutdown:
             import time
 
             sys.path.insert(0, {os.path.abspath(src)!r})
-            from repro.runner.forkserver import ForkServerPool
+            from repro.runner import ForkServerPool
             from repro.runner.jobs import JobSpec
 
             specs = [

@@ -108,3 +108,20 @@ class TestSeeding:
             runs_per_component=25
         )
         assert archived.read_text().startswith(report.render())
+
+
+class TestLinearAliasBelowRegion:
+    """A fuzzed shared-PUD slot can turn the RO-MPT slot into a
+    linear-alias descriptor whose offset is negative; the walk must
+    deny it as a guest fault, not hand a negative MFN to the machine."""
+
+    def test_negative_alias_is_a_guest_fault_on_every_runner(self):
+        from repro.runner import SerialRunner, WorkerPool, plan_fuzz
+
+        specs = plan_fuzz("4.13", ["shared-pud"], 1, 750361916)
+        serial = SerialRunner(retries=0).run(specs)
+        pool = WorkerPool(jobs=1, retries=0).run(specs)
+        assert not serial.failures and not pool.failures
+        job_id = specs[0].job_id
+        assert serial.results[job_id]["outcome"] == "exception"
+        assert pool.results[job_id] == serial.results[job_id]

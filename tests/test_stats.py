@@ -1,5 +1,9 @@
 """Tests for the statistics module."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.analysis.stats import bootstrap_rate, compare_handling, handling_scores
@@ -93,3 +97,17 @@ class TestBootstrap:
         a = bootstrap_rate(report, "c", "crash", seed=11)
         b = bootstrap_rate(report, "c", "crash", seed=11)
         assert (a.low, a.high) == (b.low, b.high)
+
+
+class TestLazyScipy:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        """scipy is imported only by the function that needs it."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+        )
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.strip() == "False"

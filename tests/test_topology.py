@@ -35,6 +35,7 @@ from repro.runner import (
     ForkServerPool,
     SerialRunner,
     WorkerPool,
+    execute_job,
     plan_campaign,
 )
 from repro.runner.store import ResultStore
@@ -357,7 +358,7 @@ class TestEngineParity:
             str(tmp_path / "serial.sqlite"), str(tmp_path / "serial-c.sqlite"),
         )
         for label, pool in (
-            ("spawn", WorkerPool(jobs=2)),
+            ("spawn", WorkerPool(jobs=2, batch=1, job_fn=execute_job)),
             ("forksrv", ForkServerPool(jobs=2)),
         ):
             payloads, sha = _run_into_store(
