@@ -924,7 +924,7 @@ def _cmd_chaos(args) -> int:
     import tempfile
 
     from repro.resilience.chaos import run_chaos_campaign
-    from repro.runner.jobs import plan_campaign
+    from repro.runner.jobs import plan_campaign, plan_fuzz
 
     with_metrics = bool(args.metrics or args.metrics_json)
     specs = plan_campaign(
@@ -942,6 +942,12 @@ def _cmd_chaos(args) -> int:
         metrics=with_metrics,
         topology=CROSS_DOMAIN_TOPOLOGY.spec_value(),
     )
+    campaign_runs = len(specs)
+    # Campaign runs always cold-boot; a slice of classic fuzz trials
+    # leases beds through checkpoint restore, so the snapshot-corruption
+    # and restore-wedge faults fire too.  Its root seed is fixed, not
+    # the chaos seed, so every seed leaves the same store digest.
+    specs += plan_fuzz("4.6", ["idt"], 6, 2023)
     events_handle = open(args.events, "a") if args.events else None
 
     def record_event(event) -> None:
@@ -970,7 +976,9 @@ def _cmd_chaos(args) -> int:
             if not report.identical:
                 failed += 1
             if args.metrics_json:
-                metrics_by_seed[str(seed)] = _chaos_metrics_aggregate(report)
+                metrics_by_seed[str(seed)] = _chaos_metrics_aggregate(
+                    report, campaign_runs
+                )
             if args.report_json:
                 import hashlib
 
@@ -1008,14 +1016,16 @@ def _cmd_chaos(args) -> int:
     return 0
 
 
-def _chaos_metrics_aggregate(report) -> dict:
-    """Aggregate counters from a chaos report's serial reference JSON
-    (identical to the chaos side's by the invariant just checked)."""
+def _chaos_metrics_aggregate(report, campaign_runs: int) -> dict:
+    """Aggregate counters over the campaign runs that lead a chaos
+    report's serial reference payloads (identical to the chaos side's
+    by the invariant just checked)."""
     import json
 
     from repro.analysis.report import aggregate_metrics, run_result_from_dict
 
     payloads = json.loads(report.serial_json) if report.serial_json else []
+    payloads = payloads[:campaign_runs]
     results = [run_result_from_dict(p) for p in payloads]
     aggregate = aggregate_metrics(results)
     aggregate["identical"] = report.identical

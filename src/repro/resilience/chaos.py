@@ -48,7 +48,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.runner.jobs import CAMPAIGN_RUN, JobSpec, execute_job
+from repro.runner.jobs import CAMPAIGN_RUN, FUZZ_TRIAL, JobSpec, execute_job
 from repro.runner.pool import JobFn, SerialRunner, WorkerPool
 from repro.runner.store import ResultStore, StoreCorrupt
 
@@ -403,6 +403,15 @@ def run_chaos_campaign(
         serial_specs = [replace(s, trace_dir=serial_trace_dir) for s in specs]
         specs = [replace(s, trace_dir=chaos_trace_dir) for s in specs]
 
+    # Only classic fuzz trials lease a bed through checkpoint restore,
+    # so only they can meet a snapshot corruption or a restore wedge.
+    from repro.vulngen.corpus import is_synthetic_id
+
+    restoring = [
+        spec for spec in specs
+        if spec.kind == FUZZ_TRIAL and not is_synthetic_id(spec.use_case)
+    ]
+
     with ResultStore() as reference:
         serial = SerialRunner(retries=0)
         serial.run(serial_specs, store=reference)
@@ -431,13 +440,13 @@ def run_chaos_campaign(
         )
         try:
             pool.run(specs, store=store)
-            for name, decide in (
-                ("kills", plan.kills),
-                ("corrupts", plan.corrupts),
-                ("wedges", plan.wedges),
+            for name, decide, exposed in (
+                ("kills", plan.kills, specs),
+                ("corrupts", plan.corrupts, restoring),
+                ("wedges", plan.wedges, restoring),
             ):
                 planned = sum(
-                    1 for spec in specs if decide(episode, spec.job_id)
+                    1 for spec in exposed if decide(episode, spec.job_id)
                 )
                 report.faults[name] = report.faults.get(name, 0) + planned
             summary = store.summary()

@@ -12,10 +12,11 @@ the ``core.restore_ms`` and ``core.boot_ms`` per-layer metrics of
 Every restore is **digest-verified** against the checkpoint's
 ``machine_digest``; a mismatch evicts the cache entry, cold-boots a
 fresh testbed and queues a structured ``restore-diverged`` infra event.
-The worker loop ships those events and the ``forkserver.*`` counters
-(captures, restores, divergences, cold boots) to the parent, which sums
-them into ``WorkerPool.stats`` — they describe execution machinery and
-never enter a persisted payload.
+The worker loop takes those events and the ``forkserver.*`` counters
+(captures, restores, divergences, cold boots) after every trial and
+ships them on that trial's one result frame; the parent sums the
+counters into ``WorkerPool.stats`` — they describe execution machinery
+and never enter a persisted payload.
 
 Correctness invariant: serial == pool, cached or not, byte for byte,
 over results, traces and metrics — enforced by the parity tests and the

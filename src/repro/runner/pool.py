@@ -43,6 +43,7 @@ it is the reference the byte-identity tests compare the pool against.
 from __future__ import annotations
 
 import atexit
+import math
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -208,13 +209,39 @@ class _SignalGuard:
 # ----------------------------------------------------------------------
 
 
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def run_job(
+    job_fn: JobFn, spec: JobSpec, attempt: int
+) -> Tuple[str, Any, bool, float]:
+    """Run one attempt of one job: ``(status, payload, retryable, wall)``.
+
+    ``status`` is ``"done"`` with the job's payload, or ``"error"``
+    with the typed failure detail as payload; only a
+    :class:`~repro.runner.jobs.TransientJobError` is retryable.  A
+    ``BaseException`` that is not an ``Exception`` propagates: the
+    serial runner lets it end the campaign, a pool worker reports it.
+    """
+    started = time.perf_counter()
+    try:
+        payload = job_fn(spec, attempt)
+    except Exception as exc:
+        wall = time.perf_counter() - started
+        return "error", _describe(exc), isinstance(exc, TransientJobError), wall
+    return "done", payload, False, time.perf_counter() - started
+
+
 class _Runner:
-    """Run prologue and epilogue shared by the serial runner and the pool.
+    """Run prologue, epilogue and per-job bookkeeping shared by the
+    serial runner and the pool.
 
     :meth:`run` resumes from the store and reports skipped jobs, guards
     the campaign against signals, flushes the store on interruption
     and emits ``CAMPAIGN_FINISHED``; subclasses only implement
-    :meth:`_execute` over the jobs still to do.
+    :meth:`_execute` over the jobs still to do, running each attempt
+    through :func:`run_job` and recording it with :meth:`_settle`.
     """
 
     retries: int
@@ -274,16 +301,6 @@ class _Runner:
 
     # -- per-job bookkeeping (on the current run's outcome/store/hub) --
 
-    def _succeed(self, spec, attempt, payload, wall, worker: int = -1) -> None:
-        self._outcome.results[spec.job_id] = payload
-        if self._store is not None:
-            self._store.record_attempt(spec.job_id, attempt, "done", "", wall)
-            self._store.record_success(spec.job_id, payload, wall)
-        self._hub.emit(
-            ev.JOB_FINISHED, job_id=spec.job_id, label=spec.label,
-            worker=worker, attempt=attempt,
-        )
-
     def _fail(self, spec, attempt, detail, kind: str = ev.JOB_FAILED) -> None:
         self._outcome.failures[spec.job_id] = detail
         if self._store is not None:
@@ -292,6 +309,25 @@ class _Runner:
             kind, job_id=spec.job_id, label=spec.label, attempt=attempt,
             detail=detail,
         )
+
+    def _settle(
+        self, spec, attempt, status, payload, retryable, wall, worker: int = -1
+    ) -> Optional[float]:
+        """Record one attempt's :func:`run_job` outcome: the backoff
+        before its retry, or None once the job is settled."""
+        if status != "done":
+            if self._store is not None:
+                self._store.record_attempt(spec.job_id, attempt, "error", payload, wall)
+            return self._retry_or_fail(spec, attempt, payload, retryable)
+        self._outcome.results[spec.job_id] = payload
+        if self._store is not None:
+            self._store.record_attempt(spec.job_id, attempt, "done", "", wall)
+            self._store.record_success(spec.job_id, payload, wall)
+        self._hub.emit(
+            ev.JOB_FINISHED, job_id=spec.job_id, label=spec.label,
+            worker=worker, attempt=attempt,
+        )
+        return None
 
     def _retry_or_fail(
         self, spec, attempt, detail, retryable
@@ -334,40 +370,25 @@ class SerialRunner(_Runner):
         self.on_event = on_event
 
     def _execute(self, remaining, stopped) -> None:
-        store, hub = self._store, self._hub
         for spec in remaining:
             if stopped():
                 break
-            if store is not None:
-                store.mark_running(spec.job_id)
+            if self._store is not None:
+                self._store.mark_running(spec.job_id)
             attempt = 0
             while not stopped():
-                hub.emit(
+                self._hub.emit(
                     ev.JOB_STARTED, job_id=spec.job_id, label=spec.label,
                     attempt=attempt,
                 )
-                started = time.perf_counter()
-                try:
-                    payload = self.job_fn(spec, attempt)
-                except Exception as exc:
-                    wall = time.perf_counter() - started
-                    detail = f"{type(exc).__name__}: {exc}"
-                    if store is not None:
-                        store.record_attempt(
-                            spec.job_id, attempt, "error", detail, wall
-                        )
-                    delay = self._retry_or_fail(
-                        spec, attempt, detail, isinstance(exc, TransientJobError)
-                    )
-                    if delay is None:
-                        break
-                    attempt += 1
-                    if delay:
-                        time.sleep(delay)
-                    continue
-                wall = time.perf_counter() - started
-                self._succeed(spec, attempt, payload, wall)
-                break
+                delay = self._settle(
+                    spec, attempt, *run_job(self.job_fn, spec, attempt)
+                )
+                if delay is None:
+                    break
+                attempt += 1
+                if delay:
+                    time.sleep(delay)
 
 
 # ----------------------------------------------------------------------
@@ -437,6 +458,13 @@ def _worker_main(
 ) -> None:
     """Persistent worker loop: take a batch, stream results, repeat.
 
+    The worker sends one ``ready`` frame, then exactly one frame per
+    batch member, in batch order: ``(worker, job_id, status, payload,
+    retryable, wall, infra_events, counters, rss_kb)``.  The member's
+    infra events and the ``forkserver.*`` counters it accrued ride on
+    its own result, so nothing is left to send after a batch; peak RSS
+    is read once per batch, on its last member (0 on the others).
+
     Signal discipline for persistent workers: SIGINT is ignored (a
     terminal Ctrl-C reaches the whole foreground process group; the
     parent's signal guard owns interruption policy, and a worker that
@@ -469,10 +497,9 @@ def _worker_main(
     try:
         # Start-up can dwarf a tight job budget on a loaded machine;
         # this tells the parent to start the clock now.
-        outbox.put((worker_id, None, "ready", None, False, 0.0))
+        outbox.put((worker_id, None, "ready", None, False, 0.0, [], {}, 0))
     except OSError:
         return
-    seq = 0
     while True:
         try:
             item = inbox.recv()
@@ -480,45 +507,27 @@ def _worker_main(
             return  # the parent closed our inbox (or died): shut down
         if item is None:
             return
-        for spec_json, attempt in item:
+        for index, (spec_json, attempt) in enumerate(item, 1):
             spec = JobSpec.from_json(spec_json)
-            started = time.perf_counter()
-            status, retryable = "done", False
-            payload: object
             try:
-                payload = job_fn(spec, attempt)
-            except TransientJobError as exc:
-                status, payload, retryable = "error", str(exc), True
+                status, payload, retryable, wall = run_job(job_fn, spec, attempt)
             except BaseException as exc:  # noqa: BLE001 - isolation boundary
-                status, payload = "error", f"{type(exc).__name__}: {exc}"
-            wall = time.perf_counter() - started
+                status, payload, retryable, wall = "error", _describe(exc), False, 0.0
+            # Peak RSS only matters once the batch is over (recycling).
+            rss_kb = (
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                if index == len(item) else 0
+            )
             try:
-                for infra in forkserver.take_infra_events():
-                    seq += 1
-                    outbox.put(
-                        (
-                            worker_id, spec.job_id, "infra",
-                            dict(infra, seq=seq), False, 0.0,
-                        )
-                    )
                 outbox.put(
-                    (worker_id, spec.job_id, status, payload, retryable, wall)
+                    (
+                        worker_id, spec.job_id, status, payload, retryable,
+                        wall, forkserver.take_infra_events(),
+                        forkserver.take_counters(), rss_kb,
+                    )
                 )
             except OSError:
                 return  # the parent is gone; nobody is listening
-        seq += 1
-        rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        counters = forkserver.take_counters()
-        try:
-            outbox.put(
-                (
-                    worker_id, None, "batch-done",
-                    {"seq": seq, "rss_kb": rss_kb, "counters": counters},
-                    False, 0.0,
-                )
-            )
-        except OSError:
-            return
 
 
 @dataclass
@@ -548,11 +557,6 @@ class _Worker:
     #: Peak RSS (KiB) after the worker's first batch — the baseline
     #: RSS-growth recycling measures against.
     baseline_rss: int = 0
-    #: Highest infra/batch-done sequence number seen, for dropping
-    #: chaos-duplicated control messages.
-    infra_seq: int = 0
-    retiring: bool = False
-    recycle_reason: str = ""
 
     @property
     def busy(self) -> bool:
@@ -720,11 +724,6 @@ class WorkerPool(_Runner):
                 self._check_liveness()
                 self._check_crashes()
                 self._replenish()
-            # The last batch's trailing batch-done control message
-            # (carrying the worker's cache counters) lands moments
-            # after its last result; the loop above already exited by
-            # then.  Drain once more so the counters survive.
-            self._drain()
             for worker in self._workers.values():
                 self._pending.extend(
                     (0.0, spec, attempt)
@@ -779,18 +778,17 @@ class WorkerPool(_Runner):
 
     def _assign(self) -> None:
         now = time.monotonic()
-        for worker in self._workers.values():
-            if worker.busy or worker.retiring or not self._pending:
-                continue
-            indices = [
-                i for i, (ready, _, _) in enumerate(self._pending)
-                if ready <= now
-            ][: self._batch]
-            if not indices:
-                continue
+        idle = [worker for worker in self._workers.values() if not worker.busy]
+        ready = [i for i, (at, _, _) in enumerate(self._pending) if at <= now]
+        if not idle or not ready:
+            return
+        # Spread the ready jobs over the idle workers before filling
+        # batches: a small campaign must not queue on one worker while
+        # another idles.
+        share = min(self._batch, math.ceil(len(ready) / len(idle)))
+        chunks = [ready[i:i + share] for i in range(0, len(ready), share)]
+        for worker, indices in zip(idle, chunks):
             worker.batch = [self._pending[i][1:] for i in indices]
-            for i in reversed(indices):
-                del self._pending[i]
             worker.acked = 0
             worker.started_at = now
             try:
@@ -806,6 +804,10 @@ class WorkerPool(_Runner):
                     ev.JOB_STARTED, job_id=spec.job_id, label=spec.label,
                     worker=worker.worker_id, attempt=attempt,
                 )
+        taken = set(ready[: share * len(idle)])
+        self._pending = [
+            entry for i, entry in enumerate(self._pending) if i not in taken
+        ]
 
     def _drain(self) -> None:
         """Process every available worker message (block briefly once).
@@ -848,7 +850,8 @@ class WorkerPool(_Runner):
             worker.buffer.extend(chunk)
 
     def _dispatch(self, message) -> None:
-        worker_id, job_id, status, payload, retryable, wall = message
+        (worker_id, job_id, status, payload, retryable, wall, infra,
+         counters, rss_kb) = message
         worker = self._workers.get(worker_id)
         if worker is None:
             return  # a replaced or retired worker's late message
@@ -859,43 +862,37 @@ class WorkerPool(_Runner):
             if worker.busy:
                 worker.started_at = time.monotonic()
             return
-        if status in ("infra", "batch-done"):
-            if payload.get("seq", 0) <= worker.infra_seq:
-                return  # chaos-duplicated control message
-            worker.infra_seq = payload["seq"]
-            if status == "infra":
-                self._on_infra(payload, job_id, worker)
-            else:
-                self._on_batch_done(payload, worker)
-            return
+        # Frames arrive in batch order, one per member, so a frame for
+        # anything but the current member is a duplicate (chaos, or
+        # at-least-once delivery) and is dropped whole, its infra
+        # events and counters with it.
         if not worker.busy:
-            return  # stale result (a chaos duplicate after batch end)
+            return
         spec, attempt = worker.current()
         if spec.job_id != job_id:
-            return  # stale or duplicated mid-batch message
+            return
         worker.acked += 1
         worker.served += 1
         worker.started_at = time.monotonic()  # batch progress clock
         self._circuit.record_success()  # the worker survived its job
-        if status == "done":
-            self._succeed(spec, attempt, payload, wall, worker_id)
-        else:
-            if self._store is not None:
-                self._store.record_attempt(
-                    spec.job_id, attempt, "error", str(payload), wall
-                )
-            self._retry(spec, attempt, str(payload), retryable)
+        for event in infra:
+            self._on_infra(event, job_id, worker)
+        for key in sorted(counters):
+            self._count(key, counters[key])
+        self._requeue(
+            spec, attempt,
+            self._settle(spec, attempt, status, payload, retryable, wall, worker_id),
+        )
         if not worker.busy:
             worker.batch = []
             worker.acked = 0
-            if worker.retiring:
-                self._retire(worker)
+            self._recycle_if_due(worker, rss_kb)
 
     def _on_infra(self, payload, job_id, worker) -> None:
         if payload.get("kind") == "restore-diverged":
             self._hub.emit(
                 ev.RESTORE_DIVERGED,
-                job_id=job_id or "",
+                job_id=job_id,
                 worker=worker.worker_id,
                 detail=(
                     f"xen-{payload.get('version', '?')}: restored digest "
@@ -904,15 +901,12 @@ class WorkerPool(_Runner):
                 ),
             )
 
-    def _on_batch_done(self, payload, worker) -> None:
-        counters = payload.get("counters", {})
-        for key in sorted(counters):
-            self._count(key, counters[key])
-        rss = int(payload.get("rss_kb", 0))
+    def _recycle_if_due(self, worker: _Worker, rss_kb: int) -> None:
+        """At the end of a batch: retire a worker that served its
+        quota or whose peak RSS grew past the bound."""
         if worker.baseline_rss == 0:
-            worker.baseline_rss = rss
-        grown = rss - worker.baseline_rss
-        reason = ""
+            worker.baseline_rss = rss_kb
+        grown = rss_kb - worker.baseline_rss
         if worker.served >= self.recycle_after:
             reason = (
                 f"served {worker.served} trials "
@@ -923,18 +917,9 @@ class WorkerPool(_Runner):
                 f"rss grew {grown} KiB over baseline "
                 f"(limit {self.max_rss_growth_kb})"
             )
-        if reason:
-            worker.retiring = True
-            worker.recycle_reason = reason
-            if not worker.busy:
-                self._retire(worker)
-
-    def _retire(self, worker: _Worker) -> None:
-        """Gracefully replace a worker that hit its recycling limit."""
-        self._hub.emit(
-            ev.WORKER_RECYCLED, worker=worker.worker_id,
-            detail=worker.recycle_reason,
-        )
+        else:
+            return
+        self._hub.emit(ev.WORKER_RECYCLED, worker=worker.worker_id, detail=reason)
         self._count("forkserver.workers.recycled")
         self._workers.pop(worker.worker_id, None)
         try:
@@ -1049,13 +1034,15 @@ class WorkerPool(_Runner):
                 spec, attempt, quarantine_detail, kind=ev.JOB_QUARANTINED
             )
         else:
-            self._retry(spec, attempt, detail, True)
+            self._requeue(
+                spec, attempt, self._retry_or_fail(spec, attempt, detail, True)
+            )
         if self._circuit.record_death():
             self._halted = self._circuit.render()
             self._hub.emit(ev.CIRCUIT_OPEN, detail=self._halted)
 
-    def _retry(self, spec, attempt, detail, retryable) -> None:
-        delay = self._retry_or_fail(spec, attempt, detail, retryable)
+    def _requeue(self, spec, attempt, delay: Optional[float]) -> None:
+        """Queue the job's next attempt after ``delay`` (None: settled)."""
         if delay is not None:
             self._pending.append((time.monotonic() + delay, spec, attempt + 1))
 

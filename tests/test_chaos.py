@@ -120,6 +120,8 @@ class TestChaosInvariant:
         )
         assert report.identical, report.render()
         assert report.episodes >= 1
+        # campaign runs cold-boot: no restore, so no restore fault
+        assert report.faults["corrupts"] == report.faults["wedges"] == 0
         assert no_orphans()
 
 

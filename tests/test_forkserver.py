@@ -195,6 +195,18 @@ class TestForkServerPool:
         assert served == len(specs)
         assert no_orphans()
 
+    def test_run_ends_with_its_last_result(self):
+        """Counters ride on result frames, so nothing is waited for
+        after the last one: a long poll interval costs no tail."""
+        pool = ForkServerPool(jobs=1, poll_interval=5.0)
+        started = time.monotonic()
+        outcome = pool.run(plan_fuzz("4.13", ["idt"], 2, 1))
+        assert time.monotonic() - started < 2.5
+        assert not outcome.failures
+        assert pool.stats["forkserver.captures"] == 1
+        assert pool.stats["forkserver.restores"] == 1
+        assert no_orphans()
+
     def test_crash_mid_batch_salvages_streamed_results(self):
         recorder = EventRecorder()
         specs = (

@@ -276,6 +276,31 @@ class TestWorkerPool:
         flaky_payload = outcome.results[selftest("flaky:1").job_id]
         assert flaky_payload["attempt"] == 1
 
+    def test_small_campaign_spreads_over_idle_workers(self):
+        specs = [selftest(f"ok:{i}") for i in range(6)]
+        outcome = WorkerPool(jobs=2).run(specs)
+        assert not outcome.failures
+        assert len({payload["pid"] for payload in outcome.results.values()}) == 2
+
+    def test_failures_recorded_like_the_serial_runner(self, tmp_path):
+        specs = [selftest("flaky:1"), selftest("fail")]
+        failures, attempts = {}, {}
+        for name, runner in (
+            ("serial", SerialRunner(retries=0)),
+            ("pool", WorkerPool(jobs=1, retries=0)),
+        ):
+            path = str(tmp_path / f"{name}.sqlite")
+            with ResultStore(path) as store:
+                failures[name] = runner.run(specs, store=store).failures
+            with sqlite3.connect(path) as db:
+                attempts[name] = db.execute(
+                    "SELECT job_id, attempt, status, detail FROM attempts"
+                    " ORDER BY job_id, attempt"
+                ).fetchall()
+        assert set(failures["serial"]) == {spec.job_id for spec in specs}
+        assert failures["pool"] == failures["serial"]
+        assert attempts["pool"] == attempts["serial"]
+
     def test_resume_completes_half_finished_store(self, tmp_path):
         specs = plan_fuzz("4.13", ["idt", "victim-data"], 2, 7)
         path = str(tmp_path / "half.sqlite")
